@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .corpus import to_row
 from .errors import AnalysisError
 from .label import LabeledAd
 
@@ -31,15 +32,6 @@ class WilcoxonResult:
     n_effective: int
     degenerate: bool
     method: str  # "exact", "normal", or "degenerate"
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n_effective": self.n_effective,
-            "degenerate": self.degenerate,
-            "method": self.method,
-        }
 
 
 def _doubled_midranks(abs_diffs: Sequence[float]) -> list[int]:
@@ -161,7 +153,7 @@ def compare_label_variants(
         "n_ads": len(a_by_id),
         "n_strata": len(groups),
         "flips": {"neg_to_pos": neg_to_pos, "pos_to_neg": pos_to_neg},
-        "wilcoxon": wilcoxon_signed_rank(samples).to_dict(),
+        "wilcoxon": to_row(wilcoxon_signed_rank(samples)),
         "strata": stratum_rows,
     }
 

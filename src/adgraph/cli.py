@@ -3,20 +3,23 @@
 One subcommand per pipeline stage plus `all`. Configuration comes from
 defaults, then an optional JSON config file, then repeated --set
 overrides, then explicit flags. Logs go to stderr; artifacts and
-manifests go to the workdir.
+manifests go to the workdir. A compare stage that ran prints its report
+to stdout, unless --quiet.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 import time
 
 from . import __version__
+from .analysis import render_report
 from .config import load_config
 from .errors import AdgraphError
-from .pipeline import run_all, run_stage
+from .pipeline import ARTIFACTS, run_all, run_stage
 
 log = logging.getLogger("adgraph")
 
@@ -155,10 +158,13 @@ def main(argv: list[str] | None = None) -> int:
                 "all: %d stages in %.2fs", len(results), time.perf_counter() - start
             )
         else:
-            run_stage(args.command, cfg, force=args.force)
+            results = [run_stage(args.command, cfg, force=args.force)]
     except AdgraphError as e:
         log.error("%s", e)
         return 1
+    if not args.quiet and any(r["stage"] == "compare" and r["ran"] for r in results):
+        report_path = cfg.workdir / ARTIFACTS["compare_report"]
+        print(render_report(json.loads(report_path.read_text(encoding="utf-8"))))
     return 0
 
 

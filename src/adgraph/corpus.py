@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_type_hints
 
 from .emoji import count_emoji
 from .errors import EmptyCorpusError, IngestError, PipelineError
@@ -47,7 +48,6 @@ class NormalizedAd:
     norm_text: str
     original_text: str
     emoji_count: int
-    char_length: int
 
 
 @dataclass
@@ -104,7 +104,6 @@ def normalize(record: AdRecord) -> NormalizedAd:
         norm_text=norm,
         original_text=original,
         emoji_count=count_emoji(norm),
-        char_length=len(norm),
     )
 
 
@@ -222,48 +221,49 @@ def ingest(path: str | Path, fmt: str = "jsonl") -> tuple[list[AdRecord], list[R
     return records, rejects
 
 
-def record_to_dict(record: AdRecord) -> dict:
-    return {
-        "ad_id": record.ad_id,
-        "title": record.title,
-        "description": record.description,
-        "posted_at": record.posted_at.isoformat(),
-        "locations": list(record.locations),
-        "declared_phone": record.declared_phone,
-        "source": record.source,
-    }
+@lru_cache(maxsize=None)
+def _special_fields(cls: type) -> tuple[tuple[str, ...], tuple[tuple[str, type], ...]]:
+    """cls's datetime fields and its nested-dataclass fields with their types."""
+    hints = get_type_hints(cls)
+    stamps = tuple(name for name, hint in hints.items() if hint is datetime)
+    nested = tuple((name, hint) for name, hint in hints.items() if is_dataclass(hint))
+    return stamps, nested
 
 
-def normalized_to_dict(ad: NormalizedAd) -> dict:
-    return {
-        "ad_id": ad.ad_id,
-        "norm_text": ad.norm_text,
-        "original_text": ad.original_text,
-        "emoji_count": ad.emoji_count,
-        "char_length": ad.char_length,
-    }
+def to_row(obj) -> dict:
+    """One artifact dataclass as a JSON-ready dict keyed by its field names.
+
+    datetimes become ISO-8601 text and nested dataclasses nested dicts;
+    every other field is written as it is.
+    """
+    row = dict(vars(obj))
+    stamps, nested = _special_fields(type(obj))
+    for name in stamps:
+        row[name] = row[name].isoformat()
+    for name, _ in nested:
+        row[name] = to_row(row[name])
+    return row
 
 
-def normalized_from_dict(obj: dict) -> NormalizedAd:
-    return NormalizedAd(
-        ad_id=obj["ad_id"],
-        norm_text=obj["norm_text"],
-        original_text=obj["original_text"],
-        emoji_count=obj["emoji_count"],
-        char_length=obj["char_length"],
-    )
+def from_row(cls: type, row: dict):
+    """Inverse of to_row: rebuild a cls from its row.
 
-
-def record_from_dict(obj: dict) -> AdRecord:
-    return AdRecord(
-        ad_id=obj["ad_id"],
-        title=obj["title"],
-        description=obj["description"],
-        posted_at=parse_timestamp(obj["posted_at"]),
-        locations=list(obj["locations"]),
-        declared_phone=obj["declared_phone"],
-        source=obj["source"],
-    )
+    A row whose keys are not cls's fields (an artifact written in an
+    older format, or edited) raises PipelineError.
+    """
+    stamps, nested = _special_fields(cls)
+    if stamps or nested:
+        row = dict(row)
+        for name in stamps:
+            row[name] = parse_timestamp(row[name])
+        for name, hint in nested:
+            row[name] = from_row(hint, row[name])
+    try:
+        return cls(**row)
+    except TypeError as exc:
+        raise PipelineError(
+            f"{cls.__name__} row has keys {sorted(row)}; rerun the stage that wrote it"
+        ) from exc
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:

@@ -7,9 +7,10 @@ LSH bands, and only candidates are verified with true edit distance.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -148,17 +149,10 @@ def candidate_pairs(ads: Sequence[NormalizedAd], cfg: SimilarityConfig) -> set[t
             buckets.setdefault(key, []).append(ad.ad_id)
 
     pairs: set[tuple[str, str]] = set()
-    for members in buckets.values():
+    for members in itertools.chain(buckets.values(), short_groups.values()):
         if len(members) < 2:
             continue
         members = sorted(set(members))
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                pairs.add((a, b))
-    for members in short_groups.values():
-        if len(members) < 2:
-            continue
-        members = sorted(members)
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 pairs.add((a, b))
@@ -262,28 +256,3 @@ def deduplicate(
         clusters.append(DuplicateCluster(canonical_id=canonical, member_ids=all_ids, method=method))
     clusters.sort(key=lambda c: c.canonical_id)
     return clusters
-
-
-def cluster_to_dict(cluster: DuplicateCluster) -> dict:
-    return {
-        "canonical_id": cluster.canonical_id,
-        "member_ids": list(cluster.member_ids),
-        "method": cluster.method,
-    }
-
-
-def cluster_from_dict(obj: dict) -> DuplicateCluster:
-    return DuplicateCluster(
-        canonical_id=obj["canonical_id"],
-        member_ids=list(obj["member_ids"]),
-        method=obj["method"],
-    )
-
-
-def clusters_by_member(clusters: Iterable[DuplicateCluster]) -> dict[str, str]:
-    """Map every member ad_id to its cluster's canonical_id."""
-    out: dict[str, str] = {}
-    for cluster in clusters:
-        for member in cluster.member_ids:
-            out[member] = cluster.canonical_id
-    return out

@@ -354,23 +354,3 @@ def import_annotations(
                 out.setdefault(ad_id, [])
                 out[ad_id] = merge_identifiers(out[ad_id], found)
     return out, rejects
-
-
-def identifier_to_dict(ident: Identifier) -> dict:
-    return {
-        "kind": ident.kind,
-        "raw": ident.raw,
-        "canonical": ident.canonical,
-        "start": ident.start,
-        "end": ident.end,
-    }
-
-
-def identifier_from_dict(obj: dict) -> Identifier:
-    return Identifier(
-        kind=obj["kind"],
-        raw=obj["raw"],
-        canonical=obj["canonical"],
-        start=obj.get("start"),
-        end=obj.get("end"),
-    )

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .corpus import from_row, to_row
 from .dedup import DuplicateCluster
 from .extract import Identifier
 from .unionfind import UnionFind
@@ -188,7 +189,7 @@ def graph_to_dict(graph: RelatednessGraph) -> dict:
     return {
         "materialization": graph.materialization,
         "nodes": list(graph.nodes),
-        "edges": [{"a": e.a, "b": e.b, "shared": list(e.shared)} for e in graph.edges],
+        "edges": [to_row(e) for e in graph.edges],
         "components": {str(k): list(v) for k, v in sorted(graph.components.items())},
         "node_identifiers": {n: list(graph.node_identifiers.get(n, [])) for n in graph.nodes},
         "node_locations": {n: list(graph.node_locations.get(n, [])) for n in graph.nodes},
@@ -201,7 +202,7 @@ def graph_from_dict(obj: dict) -> RelatednessGraph:
     component_of = {node: idx for idx, members in components.items() for node in members}
     return RelatednessGraph(
         nodes=list(obj["nodes"]),
-        edges=[GraphEdge(e["a"], e["b"], list(e["shared"])) for e in obj["edges"]],
+        edges=[from_row(GraphEdge, e) for e in obj["edges"]],
         component_of=component_of,
         components=components,
         node_identifiers={k: list(v) for k, v in obj.get("node_identifiers", {}).items()},

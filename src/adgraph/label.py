@@ -13,8 +13,9 @@ import hashlib
 import itertools
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .dedup import similarity
 from .errors import ConfigError, LabelingError
@@ -62,8 +63,8 @@ class LabelingConfig:
 
 @dataclass
 class LabeledPair:
-    ad_id_a: str
-    ad_id_b: str
+    a: str
+    b: str
     label: int
     similarity: float
     split: str
@@ -141,93 +142,39 @@ def _giant_component(graph: RelatednessGraph) -> int | None:
     return best
 
 
-def _sample_positives(
-    graph: RelatednessGraph,
+def _pair_count(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+def _sample_pairs(
+    groups: Sequence[Sequence[str]],
+    counts: Sequence[int],
+    admissible: Callable[[str, str], bool],
     texts: Mapping[str, str],
     cfg: LabelingConfig,
     rng: random.Random,
 ) -> list[tuple[str, str, float]]:
-    excluded = None if cfg.include_giant_component else _giant_component(graph)
-    comps = [
-        members
-        for cid, members in sorted(graph.components.items())
-        if len(members) >= 2 and cid != excluded
-    ]
-    total_pairs = sum(len(m) * (len(m) - 1) // 2 for m in comps)
-    if total_pairs == 0:
+    """Up to pairs_per_class admissible pairs below pair_sim_threshold.
+
+    A pair's two ads come from one group; counts[k] is group k's number
+    of admissible pairs. Small pools are enumerated and shuffled; large
+    ones are rejection-sampled, each group drawn in proportion to its
+    count, until the attempt budget runs out.
+    """
+    total = sum(counts)
+    if total == 0:
         return []
 
     threshold = cfg.pair_sim_threshold
     want = cfg.pairs_per_class
     out: list[tuple[str, str, float]] = []
 
-    if total_pairs <= _ENUMERATE_LIMIT:
-        candidates = [pair for members in comps for pair in itertools.combinations(members, 2)]
-        rng.shuffle(candidates)
-        for a, b in candidates:
-            sim = similarity(texts[a], texts[b])
-            if sim < threshold:
-                out.append((a, b, sim))
-                if len(out) == want:
-                    break
-        return out
-
-    weights = list(itertools.accumulate(len(m) * (len(m) - 1) // 2 for m in comps))
-    seen: set[tuple[str, str]] = set()
-    attempts = 0
-    budget = max(60 * want, 10_000)
-    while len(out) < want and attempts < budget:
-        attempts += 1
-        r = rng.randrange(weights[-1])
-        members = comps[bisect.bisect_right(weights, r)]
-        i, j = rng.sample(range(len(members)), 2)
-        a, b = members[i], members[j]
-        if a > b:
-            a, b = b, a
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        sim = similarity(texts[a], texts[b])
-        if sim < threshold:
-            out.append((a, b, sim))
-    return out
-
-
-def _sample_negatives(
-    graph: RelatednessGraph,
-    texts: Mapping[str, str],
-    cfg: LabelingConfig,
-    split_of: Mapping[int, str],
-    rng: random.Random,
-) -> list[tuple[str, str, float]]:
-    by_split: dict[str, list[str]] = {"train": [], "test": []}
-    for cid, members in sorted(graph.components.items()):
-        by_split[split_of[cid]].extend(members)
-    comp_of = graph.component_of
-
-    def cross_pairs(nodes: list[str]) -> int:
-        n = len(nodes)
-        within = {}
-        for node in nodes:
-            within[comp_of[node]] = within.get(comp_of[node], 0) + 1
-        return n * (n - 1) // 2 - sum(k * (k - 1) // 2 for k in within.values())
-
-    sides = [(name, sorted(nodes)) for name, nodes in by_split.items() if len(nodes) >= 2]
-    totals = {name: cross_pairs(nodes) for name, nodes in sides}
-    available = sum(totals.values())
-    if available == 0:
-        return []
-
-    threshold = cfg.pair_sim_threshold
-    want = cfg.pairs_per_class
-    out: list[tuple[str, str, float]] = []
-
-    if available <= _ENUMERATE_LIMIT:
+    if total <= _ENUMERATE_LIMIT:
         candidates = [
             (a, b)
-            for _, nodes in sides
+            for nodes in groups
             for a, b in itertools.combinations(nodes, 2)
-            if comp_of[a] != comp_of[b]
+            if admissible(a, b)
         ]
         rng.shuffle(candidates)
         for a, b in candidates:
@@ -238,20 +185,16 @@ def _sample_negatives(
                     break
         return out
 
-    names = [name for name, _ in sides]
-    cum = list(itertools.accumulate(totals[name] for name in names))
-    nodes_of = dict(sides)
+    cum = list(itertools.accumulate(counts))
     seen: set[tuple[str, str]] = set()
     attempts = 0
     budget = max(60 * want, 10_000)
     while len(out) < want and attempts < budget:
         attempts += 1
-        r = rng.randrange(cum[-1])
-        name = names[bisect.bisect_right(cum, r)]
-        nodes = nodes_of[name]
+        nodes = groups[bisect.bisect_right(cum, rng.randrange(cum[-1]))]
         i, j = rng.sample(range(len(nodes)), 2)
         a, b = nodes[i], nodes[j]
-        if comp_of[a] == comp_of[b]:
+        if not admissible(a, b):
             continue
         if a > b:
             a, b = b, a
@@ -285,18 +228,58 @@ def generate_oad_pairs(
     if split_of is None:
         split_of = split_components(graph, cfg)
 
-    positives = _sample_positives(graph, texts, cfg, random.Random(f"{cfg.seed}:oad:pos"))
-    negatives = _sample_negatives(graph, texts, cfg, split_of, random.Random(f"{cfg.seed}:oad:neg"))
+    # positives: any two ads of one component (the giant one left out on request)
+    excluded = None if cfg.include_giant_component else _giant_component(graph)
+    comps = [
+        members
+        for cid, members in sorted(graph.components.items())
+        if len(members) >= 2 and cid != excluded
+    ]
+    positives = _sample_pairs(
+        comps,
+        [_pair_count(len(m)) for m in comps],
+        lambda a, b: True,
+        texts,
+        cfg,
+        random.Random(f"{cfg.seed}:oad:pos"),
+    )
+
+    # negatives: two ads of different components on one split side
+    by_split: dict[str, list[str]] = {"train": [], "test": []}
+    for cid, members in sorted(graph.components.items()):
+        by_split[split_of[cid]].extend(members)
+    comp_of = graph.component_of
+    sides = [sorted(nodes) for nodes in by_split.values() if len(nodes) >= 2]
+    negatives = _sample_pairs(
+        sides,
+        [
+            _pair_count(len(nodes))
+            - sum(map(_pair_count, Counter(comp_of[n] for n in nodes).values()))
+            for nodes in sides
+        ],
+        lambda a, b: comp_of[a] != comp_of[b],
+        texts,
+        cfg,
+        random.Random(f"{cfg.seed}:oad:neg"),
+    )
+
     keep = min(len(positives), len(negatives))
     if keep < cfg.pairs_per_class:
-        log.info("pair candidates exhausted at %d per class (wanted %d)", keep, cfg.pairs_per_class)
+        log.warning(
+            "pair candidates exhausted: kept %d of %d wanted per class "
+            "(%d positive, %d negative pairs found)",
+            keep,
+            cfg.pairs_per_class,
+            len(positives),
+            len(negatives),
+        )
 
     pairs = [
-        LabeledPair(a, b, 1, sim, split_of[graph.component_of[a]])
+        LabeledPair(a, b, 1, sim, split_of[comp_of[a]])
         for a, b, sim in positives[:keep]
     ]
     pairs.extend(
-        LabeledPair(a, b, 0, sim, split_of[graph.component_of[a]])
+        LabeledPair(a, b, 0, sim, split_of[comp_of[a]])
         for a, b, sim in negatives[:keep]
     )
     return pairs
@@ -376,46 +359,3 @@ def label_htrp(
             out.append(LabeledAd(node, label, features, list(fired)))
     out.sort(key=lambda ad: ad.ad_id)
     return out
-
-
-def pair_to_dict(pair: LabeledPair) -> dict:
-    return {
-        "a": pair.ad_id_a,
-        "b": pair.ad_id_b,
-        "label": pair.label,
-        "similarity": pair.similarity,
-        "split": pair.split,
-    }
-
-
-def pair_from_dict(obj: dict) -> LabeledPair:
-    return LabeledPair(obj["a"], obj["b"], obj["label"], obj["similarity"], obj["split"])
-
-
-def labeled_ad_to_dict(ad: LabeledAd) -> dict:
-    return {
-        "ad_id": ad.ad_id,
-        "label": ad.label,
-        "features": {
-            "max_span_miles": ad.features.max_span_miles,
-            "unique_phone_count": ad.features.unique_phone_count,
-            "unique_identifier_count": ad.features.unique_identifier_count,
-            "unresolved_locations": ad.features.unresolved_locations,
-        },
-        "rule_trace": list(ad.rule_trace),
-    }
-
-
-def labeled_ad_from_dict(obj: dict) -> LabeledAd:
-    f = obj["features"]
-    return LabeledAd(
-        ad_id=obj["ad_id"],
-        label=obj["label"],
-        features=HtrpFeatures(
-            max_span_miles=f["max_span_miles"],
-            unique_phone_count=f["unique_phone_count"],
-            unique_identifier_count=f["unique_identifier_count"],
-            unresolved_locations=f["unresolved_locations"],
-        ),
-        rule_trace=list(obj["rule_trace"]),
-    )

@@ -20,8 +20,9 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from . import __version__, corpus, dedup, extract, synth
-from .analysis import compare_label_variants, render_report
+from .analysis import compare_label_variants
 from .config import PipelineConfig
+from .corpus import from_row, to_row
 from .errors import PipelineError
 from .extract import Identifier
 from .graph import (
@@ -34,15 +35,7 @@ from .graph import (
     stats_to_csv,
     write_graph_json,
 )
-from .label import (
-    generate_oad_pairs,
-    label_htrp,
-    labeled_ad_from_dict,
-    labeled_ad_to_dict,
-    pair_to_dict,
-    split_components,
-    split_report,
-)
+from .label import LabeledAd, generate_oad_pairs, label_htrp, split_components, split_report
 
 log = logging.getLogger("adgraph")
 
@@ -106,7 +99,7 @@ class StageContext:
     def records(self) -> list[corpus.AdRecord]:
         if "records" not in self._cache:
             rows = corpus.read_jsonl(self.path("records"))
-            self._cache["records"] = [corpus.record_from_dict(r) for r in rows]
+            self._cache["records"] = [from_row(corpus.AdRecord, r) for r in rows]
         return self._cache["records"]
 
     def records_by_id(self) -> dict[str, corpus.AdRecord]:
@@ -115,20 +108,18 @@ class StageContext:
     def normalized(self) -> list[corpus.NormalizedAd]:
         if "normalized" not in self._cache:
             rows = corpus.read_jsonl(self.path("normalized"))
-            self._cache["normalized"] = [corpus.normalized_from_dict(r) for r in rows]
+            self._cache["normalized"] = [from_row(corpus.NormalizedAd, r) for r in rows]
         return self._cache["normalized"]
 
     def clusters(self) -> list[dedup.DuplicateCluster]:
         rows = corpus.read_jsonl(self.path("clusters"))
-        return [dedup.cluster_from_dict(r) for r in rows]
+        return [from_row(dedup.DuplicateCluster, r) for r in rows]
 
     def identifiers_by_ad(self) -> dict[str, list[Identifier]]:
         out: dict[str, list[Identifier]] = {}
         for row in corpus.read_jsonl(self.path("identifiers")):
-            ident = extract.identifier_from_dict(
-                {k: row[k] for k in ("kind", "raw", "canonical", "start", "end")}
-            )
-            out.setdefault(row["ad_id"], []).append(ident)
+            ad_id = row.pop("ad_id")
+            out.setdefault(ad_id, []).append(from_row(Identifier, row))
         return out
 
     def graph(self) -> RelatednessGraph:
@@ -173,22 +164,16 @@ def _run_ingest(ctx: StageContext) -> None:
     path = _resolve_corpus(ctx.cfg)
     records, rejects = corpus.ingest(path, ctx.cfg.corpus_format)
     normalized = _pmap(corpus.normalize, records, ctx.threads)
-    corpus.write_jsonl(ctx.path("records"), (corpus.record_to_dict(r) for r in records))
-    corpus.write_jsonl(
-        ctx.path("rejects"), ({"line": r.line, "reason": r.reason} for r in rejects)
-    )
-    corpus.write_jsonl(
-        ctx.path("normalized"), (corpus.normalized_to_dict(n) for n in normalized)
-    )
+    corpus.write_jsonl(ctx.path("records"), map(to_row, records))
+    corpus.write_jsonl(ctx.path("rejects"), map(to_row, rejects))
+    corpus.write_jsonl(ctx.path("normalized"), map(to_row, normalized))
     log.info("ingested %d records, rejected %d", len(records), len(rejects))
 
 
 def _run_dedup(ctx: StageContext) -> None:
     posted = {r.ad_id: r.posted_at for r in ctx.records()}
     clusters = dedup.deduplicate(ctx.normalized(), ctx.cfg.similarity(), posted)
-    corpus.write_jsonl(
-        ctx.path("clusters"), (dedup.cluster_to_dict(c) for c in clusters)
-    )
+    corpus.write_jsonl(ctx.path("clusters"), map(to_row, clusters))
     near = sum(1 for c in clusters if c.method == "near")
     log.info("%d clusters (%d near-duplicate)", len(clusters), near)
 
@@ -213,12 +198,9 @@ def _run_extract(ctx: StageContext) -> None:
     rows = []
     for ad_id in sorted(ids_by_ad):
         for ident in ids_by_ad[ad_id]:
-            rows.append({"ad_id": ad_id, **extract.identifier_to_dict(ident)})
+            rows.append({"ad_id": ad_id, **to_row(ident)})
     corpus.write_jsonl(ctx.path("identifiers"), rows)
-    corpus.write_jsonl(
-        ctx.path("annotation_rejects"),
-        ({"line": r.line, "reason": r.reason} for r in ann_rejects),
-    )
+    corpus.write_jsonl(ctx.path("annotation_rejects"), map(to_row, ann_rejects))
     log.info("%d identifiers across %d ads", len(rows), sum(1 for v in ids_by_ad.values() if v))
 
 
@@ -262,13 +244,13 @@ def _run_label_oad(ctx: StageContext) -> None:
     graph = ctx.graph()
     texts = {n.ad_id: n.norm_text for n in ctx.normalized() if n.ad_id in graph.component_of}
     pairs = generate_oad_pairs(graph, texts, ctx.cfg.labeling(), ctx.split_assignment())
-    corpus.write_jsonl(ctx.path("oad_pairs"), (pair_to_dict(p) for p in pairs))
+    corpus.write_jsonl(ctx.path("oad_pairs"), map(to_row, pairs))
     log.info("%d labeled pairs", len(pairs))
 
 
 def _run_label_htrp(ctx: StageContext) -> None:
     labels = label_htrp(ctx.graph(), ctx.cfg.gazetteer(), ctx.cfg.labeling())
-    corpus.write_jsonl(ctx.path("htrp_labels"), (labeled_ad_to_dict(a) for a in labels))
+    corpus.write_jsonl(ctx.path("htrp_labels"), map(to_row, labels))
     pos = sum(a.label for a in labels)
     log.info("%d ads labeled, %d positive", len(labels), pos)
 
@@ -292,14 +274,11 @@ def _strata_map(ctx: StageContext, graph: RelatednessGraph) -> dict[str, str]:
 
 def _run_compare(ctx: StageContext) -> None:
     graph = ctx.graph()
-    baseline = [labeled_ad_from_dict(r) for r in corpus.read_jsonl(ctx.path("htrp_labels"))]
+    baseline = [from_row(LabeledAd, r) for r in corpus.read_jsonl(ctx.path("htrp_labels"))]
     variant = label_htrp(graph, ctx.cfg.gazetteer(), ctx.cfg.labeling(variant=True))
-    corpus.write_jsonl(
-        ctx.path("htrp_variant_labels"), (labeled_ad_to_dict(a) for a in variant)
-    )
+    corpus.write_jsonl(ctx.path("htrp_variant_labels"), map(to_row, variant))
     report = compare_label_variants(baseline, variant, _strata_map(ctx, graph))
     ctx.write_json("compare_report", report)
-    print(render_report(report))
 
 
 def _run_export(ctx: StageContext) -> None:

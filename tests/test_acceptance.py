@@ -52,7 +52,7 @@ def report(num: int, desc: str, failures: list, elapsed: float | None = None) ->
 
 
 def norm_ad(ad_id: str, text: str) -> NormalizedAd:
-    return NormalizedAd(ad_id, text, text, 0, len(text))
+    return NormalizedAd(ad_id, text, text, 0)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -374,19 +374,19 @@ def test_criterion_06_oad_dataset():
     if len(pos) != len(neg):
         failures.append(f"classes unbalanced: {len(pos)} positive vs {len(neg)} negative")
     for p in pairs:
-        same = graph.component_of[p.ad_id_a] == graph.component_of[p.ad_id_b]
+        same = graph.component_of[p.a] == graph.component_of[p.b]
         if p.label != (1 if same else 0):
-            failures.append(f"label disagrees with component oracle on ({p.ad_id_a},{p.ad_id_b})")
+            failures.append(f"label disagrees with component oracle on ({p.a},{p.b})")
             break
     for p in pairs:
-        if similarity_ref(texts[p.ad_id_a], texts[p.ad_id_b]) >= 0.5:
-            failures.append(f"pair ({p.ad_id_a},{p.ad_id_b}) at oracle similarity >= 0.5 retained")
+        if similarity_ref(texts[p.a], texts[p.b]) >= 0.5:
+            failures.append(f"pair ({p.a},{p.b}) at oracle similarity >= 0.5 retained")
             break
     for p in pairs:
-        side_a = split_of[graph.component_of[p.ad_id_a]]
-        side_b = split_of[graph.component_of[p.ad_id_b]]
+        side_a = split_of[graph.component_of[p.a]]
+        side_b = split_of[graph.component_of[p.b]]
         if not (side_a == side_b == p.split):
-            failures.append(f"pair ({p.ad_id_a},{p.ad_id_b}) crosses the split")
+            failures.append(f"pair ({p.a},{p.b}) crosses the split")
             break
     report(
         6,

@@ -127,6 +127,20 @@ class TestHappyPath:
         assert "wilcoxon" in out
         assert "label flips" in out
 
+    def test_quiet_all_writes_nothing_to_stdout(self, tmp_path, capsys):
+        workdir = str(tmp_path / "w")
+        base = [
+            "--workdir", workdir,
+            "--quiet",
+            "--set", "synth.n_ads=100",
+            "--set", "synth.n_components=10",
+            "--set", "label.pairs_per_class=20",
+        ]
+        assert run(["synth", *base]) == 0
+        assert run(["all", *base]) == 0
+        assert (tmp_path / "w" / "compare_report.json").exists()
+        assert capsys.readouterr().out == ""
+
     def test_quiet_suppresses_info(self, tmp_path, caplog):
         workdir = str(tmp_path / "w")
         assert run(["synth", "--workdir", workdir, "--quiet", "--n-ads", "20", "--n-components", "5"]) == 0

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adgraph import corpus
-from adgraph.errors import EmptyCorpusError, IngestError
+from adgraph.analysis import WilcoxonResult
+from adgraph.dedup import DuplicateCluster
+from adgraph.errors import EmptyCorpusError, IngestError, PipelineError
+from adgraph.extract import Identifier
+from adgraph.graph import GraphEdge
+from adgraph.label import HtrpFeatures, LabeledAd, LabeledPair
 
 from conftest import corpus_row, make_record, write_corpus
 
@@ -75,16 +80,10 @@ class TestNormalizeRecord:
         assert norm.norm_text == "sweet hi there \U0001F339"
         assert norm.original_text == "Sweet Hi  THERE \U0001F339"
         assert norm.emoji_count == 1
-        assert norm.char_length == len(norm.norm_text)
 
     def test_title_only(self):
         norm = corpus.normalize(make_record("a1", text="", title="Just Title"))
         assert norm.norm_text == "just title"
-
-    def test_round_trip_dict(self):
-        norm = corpus.normalize(make_record("a1", text="Hello"))
-        again = corpus.normalized_from_dict(corpus.normalized_to_dict(norm))
-        assert again == norm
 
 
 class TestIngestJsonl:
@@ -176,14 +175,59 @@ class TestIngestCsv:
 
 
 class TestRecordRoundTrip:
-    def test_to_from_dict(self):
-        rec = make_record("a1", text="hey", locations=["miami"], declared_phone="555")
-        again = corpus.record_from_dict(corpus.record_to_dict(rec))
-        assert again == rec
-
     def test_jsonl_round_trip(self, tmp_path):
         rec = make_record("a1", text="hey \U0001F339")
         path = tmp_path / "r.jsonl"
-        corpus.write_jsonl(path, [corpus.record_to_dict(rec)])
+        corpus.write_jsonl(path, [corpus.to_row(rec)])
         rows = corpus.read_jsonl(path)
-        assert corpus.record_from_dict(rows[0]) == rec
+        assert corpus.from_row(corpus.AdRecord, rows[0]) == rec
+
+
+ROW_CASES = {
+    "record": make_record("a1", text="hey", locations=["miami"], declared_phone="555"),
+    "normalized": corpus.normalize(make_record("a1", text="Hello")),
+    "reject": corpus.Reject(3, "invalid json"),
+    "cluster": DuplicateCluster("a", ["a", "b"], "near"),
+    "identifier": Identifier("phone", "raw", "5551230147", 2, 12),
+    "identifier_no_span": Identifier("email", "x@y.com", "x@y.com"),
+    "edge": GraphEdge("a", "b", ["phone:5551230147"]),
+    "pair": LabeledPair("a", "b", 1, 0.25, "train"),
+    "labeled_ad": LabeledAd("a1", 1, HtrpFeatures(10.0, 3, 5, 1), ["phones"]),
+    "wilcoxon": WilcoxonResult(4.0, 0.125, 6, False, "exact"),
+}
+
+
+class TestRowCodec:
+    @pytest.mark.parametrize("name", sorted(ROW_CASES))
+    def test_round_trip(self, name):
+        obj = ROW_CASES[name]
+        row = json.loads(json.dumps(corpus.to_row(obj)))
+        assert corpus.from_row(type(obj), row) == obj
+
+    def test_row_shapes(self):
+        assert corpus.to_row(ROW_CASES["record"]) == {
+            "ad_id": "a1",
+            "title": "",
+            "description": "hey",
+            "posted_at": "2024-01-01T00:00:00+00:00",
+            "locations": ["miami"],
+            "declared_phone": "555",
+            "source": "site_a",
+        }
+        assert corpus.to_row(ROW_CASES["labeled_ad"])["features"] == {
+            "max_span_miles": 10.0,
+            "unique_phone_count": 3,
+            "unique_identifier_count": 5,
+            "unresolved_locations": 1,
+        }
+        assert corpus.to_row(ROW_CASES["identifier_no_span"]) == {
+            "kind": "email", "raw": "x@y.com", "canonical": "x@y.com", "start": None, "end": None
+        }
+        assert set(corpus.to_row(ROW_CASES["pair"])) == {"a", "b", "label", "similarity", "split"}
+        assert corpus.from_row(Identifier, {"kind": "url", "raw": "u", "canonical": "u"}).start is None
+
+    def test_row_of_an_older_format_is_a_pipeline_error(self):
+        row = corpus.to_row(ROW_CASES["normalized"])
+        row["char_length"] = 5
+        with pytest.raises(PipelineError, match="NormalizedAd row has keys"):
+            corpus.from_row(corpus.NormalizedAd, row)

@@ -210,11 +210,3 @@ class TestDeduplicate:
         ads = [make_norm("a", base), make_norm("b", b), make_norm("c", c)]
         clusters = dedup.deduplicate(ads)
         assert len(clusters) == 1 and clusters[0].member_ids == ["a", "b", "c"]
-
-    def test_round_trip_dict(self):
-        cl = dedup.DuplicateCluster("a", ["a", "b"], "near")
-        assert dedup.cluster_from_dict(dedup.cluster_to_dict(cl)) == cl
-
-    def test_clusters_by_member(self):
-        cl = [dedup.DuplicateCluster("a", ["a", "b"], "exact")]
-        assert dedup.clusters_by_member(cl) == {"a": "a", "b": "a"}

@@ -207,10 +207,6 @@ class TestExtractIdentifiers:
         for case in cases[::10]:
             assert phones(case["text"]) == []
 
-    def test_round_trip_dict(self):
-        ident = extract.Identifier("phone", "raw", "5551230147", 2, 12)
-        assert extract.identifier_from_dict(extract.identifier_to_dict(ident)) == ident
-
 
 class TestImportAnnotations:
     def _write(self, tmp_path, lines):

@@ -143,7 +143,7 @@ class TestOadPairs:
     def test_labels_match_component_membership(self):
         graph, _, pairs = self._run()
         for p in pairs:
-            same = graph.component_of[p.ad_id_a] == graph.component_of[p.ad_id_b]
+            same = graph.component_of[p.a] == graph.component_of[p.b]
             assert p.label == (1 if same else 0)
 
     def test_balanced(self):
@@ -161,13 +161,13 @@ class TestOadPairs:
         texts = random_texts(graph)
         texts["a2"] = texts["a1"]  # similarity 1.0
         pairs = label.generate_oad_pairs(graph, texts, cfg(pairs_per_class=10))
-        assert ("a1", "a2") not in {(p.ad_id_a, p.ad_id_b) for p in pairs}
+        assert ("a1", "a2") not in {(p.a, p.b) for p in pairs}
 
     def test_no_pair_crosses_split(self):
         graph, split_of, pairs = self._run()
         for p in pairs:
-            side_a = split_of[graph.component_of[p.ad_id_a]]
-            side_b = split_of[graph.component_of[p.ad_id_b]]
+            side_a = split_of[graph.component_of[p.a]]
+            side_b = split_of[graph.component_of[p.b]]
             assert side_a == side_b == p.split
 
     def test_deterministic(self):
@@ -181,11 +181,11 @@ class TestOadPairs:
         neg = [p for p in pairs if p.label == 0]
         assert len(pos) == len(neg) > 0
         for p in pairs:
-            same = graph.component_of[p.ad_id_a] == graph.component_of[p.ad_id_b]
+            same = graph.component_of[p.a] == graph.component_of[p.b]
             assert p.label == (1 if same else 0)
             assert p.similarity < 0.5
-            assert split_of[graph.component_of[p.ad_id_a]] == p.split
-            assert split_of[graph.component_of[p.ad_id_b]] == p.split
+            assert split_of[graph.component_of[p.a]] == p.split
+            assert split_of[graph.component_of[p.b]] == p.split
 
     def test_truncates_to_min_class(self):
         # only one within-component pair available, plenty of cross pairs
@@ -194,6 +194,62 @@ class TestOadPairs:
         pos = [p for p in pairs if p.label == 1]
         neg = [p for p in pairs if p.label == 0]
         assert len(pos) == len(neg) == 1
+
+    def test_exhaustion_is_a_warning_naming_the_shortfall(self, caplog):
+        graph = make_graph([["a1", "a2"], ["b1"], ["b2"], ["b3"], ["b4"]])
+        label.generate_oad_pairs(graph, random_texts(graph), cfg(pairs_per_class=50))
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "kept 1 of 50 wanted per class" in warnings[0].getMessage()
+        assert "(1 positive, " in warnings[0].getMessage()
+
+    # drawn at a fixed seed; any change to the sampler's draw order moves them
+    FIXED = {
+        200_000: [
+            ("a2", "a4", 1, 0.05, "train"),
+            ("f1", "f2", 1, 0.075, "train"),
+            ("d1", "d2", 1, 0.05, "test"),
+            ("b2", "b3", 1, 0.05, "train"),
+            ("a4", "a5", 1, 0.125, "train"),
+            ("b2", "b4", 1, 0.125, "train"),
+            ("b1", "b4", 1, 0.075, "train"),
+            ("a3", "a5", 1, 0.075, "train"),
+            ("a3", "f2", 0, 0.075, "train"),
+            ("a3", "c2", 0, 0.075, "train"),
+            ("a2", "f1", 0, 0.025, "train"),
+            ("b4", "c3", 0, 0.1, "train"),
+            ("a4", "e2", 0, 0.1, "train"),
+            ("a5", "c2", 0, 0.075, "train"),
+            ("a4", "b2", 0, 0.075, "train"),
+            ("a4", "c3", 0, 0.05, "train"),
+        ],
+        1: [
+            ("a3", "a4", 1, 0.125, "train"),
+            ("a1", "a5", 1, 0.05, "train"),
+            ("b1", "b2", 1, 0.075, "train"),
+            ("a2", "a5", 1, 0.075, "train"),
+            ("c2", "c3", 1, 0.125, "train"),
+            ("b3", "b4", 1, 0.025, "train"),
+            ("a3", "a5", 1, 0.075, "train"),
+            ("f1", "f2", 1, 0.075, "train"),
+            ("a1", "c3", 0, 0.075, "train"),
+            ("c3", "e2", 0, 0.075, "train"),
+            ("a1", "b2", 0, 0.05, "train"),
+            ("b1", "f2", 0, 0.075, "train"),
+            ("a1", "b1", 0, 0.075, "train"),
+            ("a3", "b2", 0, 0.075, "train"),
+            ("a5", "c1", 0, 0.075, "train"),
+            ("a3", "b4", 0, 0.075, "train"),
+        ],
+    }
+
+    @pytest.mark.parametrize("limit", [200_000, 1], ids=["enumerate", "rejection"])
+    def test_fixed_output(self, limit, monkeypatch):
+        monkeypatch.setattr(label, "_ENUMERATE_LIMIT", limit)
+        graph = make_graph(self.GROUPS)
+        pairs = label.generate_oad_pairs(graph, random_texts(graph), cfg(pairs_per_class=8, seed=3))
+        got = [(p.a, p.b, p.label, round(p.similarity, 6), p.split) for p in pairs]
+        assert got == self.FIXED[limit]
 
     def test_single_component_rejected(self):
         graph = make_graph([["a1", "a2"]])
@@ -207,10 +263,6 @@ class TestOadPairs:
         with pytest.raises(LabelingError, match="a2"):
             label.generate_oad_pairs(graph, texts, cfg())
 
-    def test_pair_dict_round_trip(self):
-        p = label.LabeledPair("a", "b", 1, 0.25, "train")
-        assert label.pair_from_dict(label.pair_to_dict(p)) == p
-
     def test_giant_exclusion_drops_its_positives(self):
         groups = [["g%d" % i for i in range(6)], ["a1", "a2"], ["b1", "b2"]]
         graph = make_graph(groups)
@@ -220,7 +272,7 @@ class TestOadPairs:
         giant = set(groups[0])
         for p in pairs:
             if p.label == 1:
-                assert p.ad_id_a not in giant and p.ad_id_b not in giant
+                assert p.a not in giant and p.b not in giant
 
 
 class TestHtrpFeatures:
@@ -349,7 +401,3 @@ class TestHtrpFeatures:
             counts.append(sum(ad.label for ad in labels))
         assert counts == sorted(counts, reverse=True)
         assert counts[0] > counts[-1]
-
-    def test_labeled_ad_round_trip(self):
-        ad = label.LabeledAd("a1", 1, label.HtrpFeatures(10.0, 3, 5, 1), ["phones"])
-        assert label.labeled_ad_from_dict(label.labeled_ad_to_dict(ad)) == ad
