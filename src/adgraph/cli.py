@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 
@@ -164,7 +165,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if not args.quiet and any(r["stage"] == "compare" and r["ran"] for r in results):
         report_path = cfg.workdir / ARTIFACTS["compare_report"]
-        print(render_report(json.loads(report_path.read_text(encoding="utf-8"))))
+        report = render_report(json.loads(report_path.read_text(encoding="utf-8")))
+        try:
+            print(report)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left early (`| head`); the report is on disk. Point
+            # stdout at devnull so the flush at exit does not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

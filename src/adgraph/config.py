@@ -11,7 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .dedup import SimilarityConfig
 from .errors import ConfigError
@@ -62,11 +62,6 @@ DEFAULTS: dict = {
     "stages": {"compare": True, "export": True},
 }
 
-# locations and execution details; artifact bytes do not depend on
-# these, so they must not invalidate content-addressed manifests
-_HASH_EXCLUDE = {"workdir", "corpus.path", "corpus.annotations", "gazetteer", "threads"}
-
-
 def _merge(base: dict, incoming: dict, path: str = "") -> None:
     for key, value in incoming.items():
         here = f"{path}.{key}" if path else key
@@ -107,20 +102,19 @@ def _apply_override(cfg: dict, expr: str) -> None:
     _merge(cfg, node)
 
 
-def _strip_excluded(cfg: dict) -> dict:
-    out = copy.deepcopy(cfg)
-    for dotted in _HASH_EXCLUDE:
-        node = out
-        *parents, last = dotted.split(".")
-        for key in parents:
+def config_hash(cfg_dict: dict, keys: Iterable[str]) -> str:
+    """Content hash over the values of the given dotted keys.
+
+    A key may name a leaf ("label.split_ratio") or a whole section
+    ("dedup"); the hash changes exactly when one of those values does.
+    """
+    picked = {}
+    for dotted in keys:
+        node = cfg_dict
+        for key in dotted.split("."):
             node = node[key]
-        node[last] = None
-    return out
-
-
-def config_hash(cfg_dict: dict) -> str:
-    """Content hash over everything except file locations."""
-    canon = json.dumps(_strip_excluded(cfg_dict), sort_keys=True, separators=(",", ":"))
+        picked[dotted] = node
+    canon = json.dumps(picked, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -203,9 +197,6 @@ class PipelineConfig:
     def gazetteer(self) -> Gazetteer:
         p = self.raw["gazetteer"]
         return Gazetteer.load(p) if p else Gazetteer.bundled()
-
-    def hash(self) -> str:
-        return config_hash(self.raw)
 
     def validate(self) -> None:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field, is_dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, get_type_hints
+from typing import IO, Iterable, Iterator, get_type_hints
 
 from .emoji import count_emoji
 from .errors import EmptyCorpusError, IngestError, PipelineError
@@ -266,11 +268,32 @@ def from_row(cls: type, row: dict):
         ) from exc
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    """Write dicts as one JSON object per line, sorted keys, no ASCII escapes."""
+@contextmanager
+def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open a temp file beside `path` for writing; on success move it over `path`.
+
+    Readers see the previous file or the whole new one, never a torn
+    write: a writer that raises leaves the previous file in place and no
+    temp file behind. There is no fsync, so this guards against an
+    interrupted process, not against power loss. Text mode writes UTF-8
+    with "\n" line ends.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(tmp, "wb" if binary else "w", **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """Write dicts as one JSON object per line, sorted keys, no ASCII escapes."""
+    with atomic_open(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
             fh.write("\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import from_row, to_row
+from .corpus import atomic_open, from_row, to_row
 from .dedup import DuplicateCluster
 from .extract import Identifier
 from .unionfind import UnionFind
@@ -177,12 +177,11 @@ def component_stats(graph: RelatednessGraph) -> ComponentStats:
 
 
 def stats_to_csv(stats: ComponentStats, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["bucket,components"]
     lines.extend(f"{label},{stats.buckets[label]}" for label in BUCKET_LABELS)
     lines.append(f"total,{stats.total_components}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def graph_to_dict(graph: RelatednessGraph) -> dict:
@@ -212,9 +211,7 @@ def graph_from_dict(obj: dict) -> RelatednessGraph:
 
 
 def write_graph_json(graph: RelatednessGraph, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         json.dump(graph_to_dict(graph), fh, ensure_ascii=False, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -260,11 +257,8 @@ def export_graphml(graph: RelatednessGraph, path: str | Path, component: int | N
         d = ET.SubElement(el, "data", key="d2")
         d.text = ";".join(edge.shared)
     ET.indent(root)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tree = ET.ElementTree(root)
-    with open(path, "wb") as fh:
-        tree.write(fh, encoding="utf-8", xml_declaration=True)
+    with atomic_open(path, binary=True) as fh:
+        ET.ElementTree(root).write(fh, encoding="utf-8", xml_declaration=True)
         fh.write(b"\n")
 
 
@@ -282,6 +276,5 @@ def export_dot(graph: RelatednessGraph, path: str | Path, component: int | None 
         label = _dot_quote(";".join(edge.shared))
         lines.append(f"  {_dot_quote(edge.a)} -- {_dot_quote(edge.b)} [shared_identifiers={label}];")
     lines.append("}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -1,11 +1,15 @@
 """Stage orchestration: artifacts, manifests, staleness checks.
 
 Every stage reads artifacts from the workdir and writes artifacts plus a
-manifest holding sha256 hashes of its inputs and outputs, the config
-hash, and the package version. No timestamps: reruns with the same
-inputs and config produce byte-identical files. A stage refuses to run
-when an input artifact no longer matches the manifest of the stage that
-produced it, unless forced.
+manifest holding sha256 hashes of its inputs and outputs, a hash of the
+config keys the stage reads, and the package version. No timestamps:
+reruns with the same inputs and config produce byte-identical files. A
+stage is up to date, and skipped, when its manifest still matches its
+inputs, its config keys and its outputs, so a setting reruns only the
+stages that read it and those whose inputs then change. A stage refuses
+to run when an input artifact no longer matches the manifest of the
+stage that produced it, unless forced. Artifacts and manifests are
+written atomically, each manifest after its stage's outputs.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from typing import Callable, Mapping
 
 from . import __version__, corpus, dedup, extract, synth
 from .analysis import compare_label_variants
-from .config import PipelineConfig
-from .corpus import from_row, to_row
+from .config import PipelineConfig, config_hash
+from .corpus import atomic_open, from_row, to_row
 from .errors import PipelineError
 from .extract import Identifier
 from .graph import (
@@ -133,9 +137,7 @@ class StageContext:
         return {int(cid): side for cid, side in data["components"].items()}
 
     def write_json(self, artifact: str, obj: dict) -> None:
-        p = self.path(artifact)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        with open(p, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(self.path(artifact)) as fh:
             json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=1)
             fh.write("\n")
 
@@ -304,6 +306,12 @@ class StageDef:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     fn: Callable[[StageContext], None]
+    # dotted config keys (a leaf or a whole section) the stage reads; file
+    # locations enter only as content hashes, through _external_inputs
+    config: tuple[str, ...]
+
+    def config_hash(self, cfg: PipelineConfig) -> str:
+        return config_hash(cfg.raw, self.config)
 
     def expected_outputs(self, cfg: PipelineConfig) -> tuple[str, ...]:
         if self.name == "export":
@@ -311,32 +319,74 @@ class StageDef:
         return self.outputs
 
 
+# the label keys the HTRP rules read; compare relabels under the variant
+# thresholds in `analysis` on top of them
+_HTRP_KEYS = (
+    "label.distance_threshold_miles",
+    "label.phone_count_threshold",
+    "label.rule_combination",
+    "label.feature_scope",
+)
+
 STAGES: dict[str, StageDef] = {
     s.name: s
     for s in (
-        StageDef("synth", (), ("synth_corpus", "ground_truth"), _run_synth),
-        StageDef("ingest", (), ("records", "normalized", "rejects"), _run_ingest),
-        StageDef("dedup", ("records", "normalized"), ("clusters",), _run_dedup),
+        StageDef(
+            "synth", (), ("synth_corpus", "ground_truth"), _run_synth, config=("seed", "synth")
+        ),
+        StageDef(
+            "ingest",
+            (),
+            ("records", "normalized", "rejects"),
+            _run_ingest,
+            config=("corpus.format",),
+        ),
+        StageDef(
+            "dedup", ("records", "normalized"), ("clusters",), _run_dedup, config=("seed", "dedup")
+        ),
         StageDef(
             "extract",
             ("records", "normalized"),
             ("identifiers", "annotation_rejects"),
             _run_extract,
+            config=(),
         ),
-        StageDef("graph", ("clusters", "identifiers", "records"), ("graph",), _run_graph),
-        StageDef("stats", ("graph",), ("stats",), _run_stats),
-        StageDef("split", ("graph",), ("split", "split_report"), _run_split),
         StageDef(
-            "label-oad", ("graph", "split", "normalized"), ("oad_pairs",), _run_label_oad
+            "graph",
+            ("clusters", "identifiers", "records"),
+            ("graph",),
+            _run_graph,
+            config=("graph",),
         ),
-        StageDef("label-htrp", ("graph",), ("htrp_labels",), _run_label_htrp),
+        StageDef("stats", ("graph",), ("stats",), _run_stats, config=()),
+        StageDef(
+            "split",
+            ("graph",),
+            ("split", "split_report"),
+            _run_split,
+            config=("seed", "label.split_ratio"),
+        ),
+        StageDef(
+            "label-oad",
+            ("graph", "split", "normalized"),
+            ("oad_pairs",),
+            _run_label_oad,
+            config=(
+                "seed",
+                "label.pair_sim_threshold",
+                "label.pairs_per_class",
+                "label.include_giant_component",
+            ),
+        ),
+        StageDef("label-htrp", ("graph",), ("htrp_labels",), _run_label_htrp, config=_HTRP_KEYS),
         StageDef(
             "compare",
             ("graph", "htrp_labels", "records"),
             ("htrp_variant_labels", "compare_report"),
             _run_compare,
+            config=(*_HTRP_KEYS, "analysis"),
         ),
-        StageDef("export", ("graph",), ("graphml", "dot"), _run_export),
+        StageDef("export", ("graph",), ("graphml", "dot"), _run_export, config=("export",)),
     )
 }
 
@@ -418,7 +468,7 @@ def _is_fresh(stage: StageDef, ctx: StageContext, input_hashes: dict[str, str]) 
     man = _read_manifest(manifest_path(ctx.workdir, stage.name))
     if man is None:
         return False
-    if man.get("config_hash") != ctx.cfg.hash() or man.get("version") != __version__:
+    if man.get("config_hash") != stage.config_hash(ctx.cfg) or man.get("version") != __version__:
         return False
     if man.get("inputs", {}) != input_hashes:
         return False
@@ -454,16 +504,16 @@ def run_stage(name: str, cfg: PipelineConfig, force: bool = False) -> dict:
         if not p.exists():
             raise PipelineError(f"stage '{name}' did not write {p.name}")
         outputs[art] = _sha256_file(p)
-    mpath = manifest_path(ctx.workdir, name)
-    mpath.parent.mkdir(parents=True, exist_ok=True)
     manifest = {
         "stage": name,
         "version": __version__,
-        "config_hash": cfg.hash(),
+        "config_hash": stage.config_hash(cfg),
         "inputs": input_hashes,
         "outputs": outputs,
     }
-    with open(mpath, "w", encoding="utf-8", newline="\n") as fh:
+    # written last: a run that fails before here leaves the previous manifest,
+    # which no longer matches any output the run replaced, so the stage reruns
+    with atomic_open(manifest_path(ctx.workdir, name)) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
 

@@ -16,7 +16,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import AdRecord, to_row, write_jsonl
+from .corpus import AdRecord, atomic_open, to_row, write_jsonl
 from .errors import ConfigError
 from .geo import Gazetteer, haversine_miles
 
@@ -491,7 +491,7 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> tuple[Path, Path]:
     corpus_path = out_dir / "corpus.jsonl"
     truth_path = out_dir / "ground_truth.json"
     write_jsonl(corpus_path, map(to_row, records))
-    with open(truth_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(truth_path) as fh:
         json.dump(truth.to_dict(), fh, ensure_ascii=False, sort_keys=True, indent=1)
         fh.write("\n")
     return corpus_path, truth_path

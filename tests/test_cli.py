@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adgraph
 from adgraph import __version__
 from adgraph.cli import main
 
@@ -145,3 +150,29 @@ class TestHappyPath:
         workdir = str(tmp_path / "w")
         assert run(["synth", "--workdir", workdir, "--quiet", "--n-ads", "20", "--n-components", "5"]) == 0
         assert not [r for r in caplog.records if r.levelname == "INFO"]
+
+
+class TestBrokenPipe:
+    def test_reader_gone_before_report_exits_0(self, tmp_path):
+        workdir = str(tmp_path / "w")
+        args = ["--workdir", workdir, "--n-ads", "60", "--n-components", "8", "--quiet"]
+        assert run(["synth", *args]) == 0
+        assert run(["all", "--workdir", workdir, "--quiet"]) == 0
+        # as `adgraph compare ... | head -1` once head has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(adgraph.__file__).resolve().parent.parent)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "adgraph.cli", "compare", "--force", "--workdir", workdir],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr

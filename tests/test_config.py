@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adgraph
 from adgraph.config import DEFAULTS, PipelineConfig, config_hash, load_config
 from adgraph.errors import ConfigError
+from adgraph.pipeline import STAGES
 
 
 class TestDefaults:
@@ -148,19 +154,39 @@ class TestValidate:
             load_config(overrides=["seed=true"])
 
 
+def stage_hash(stage, overrides=()):
+    return STAGES[stage].config_hash(load_config(overrides=list(overrides)))
+
+
 class TestHash:
+    """Each stage's manifest hashes only the config keys that stage reads."""
+
     def test_stable_across_processes(self):
-        # fixed expected value guards against dict-ordering or repr drift
-        a = load_config().hash()
-        b = load_config().hash()
-        assert a == b and len(a) == 64
+        script = (
+            "from adgraph.config import load_config\n"
+            "from adgraph.pipeline import STAGES\n"
+            "cfg = load_config()\n"
+            "print(*(STAGES[s].config_hash(cfg) for s in sorted(STAGES)))\n"
+        )
+        src = str(Path(adgraph.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        cfg = load_config()
+        assert out == [STAGES[s].config_hash(cfg) for s in sorted(STAGES)]
+        assert all(len(h) == 64 for h in out)
 
     def test_semantic_change_changes_hash(self):
-        assert load_config().hash() != load_config(overrides=["seed=1"]).hash()
-        assert (
-            load_config().hash()
-            != load_config(overrides=["dedup.dup_threshold=0.8"]).hash()
+        assert stage_hash("dedup") != stage_hash("dedup", ["dedup.dup_threshold=0.8"])
+        assert stage_hash("dedup") != stage_hash("dedup", ["seed=1"])
+        assert stage_hash("label-htrp") != stage_hash(
+            "label-htrp", ["label.distance_threshold_miles=690"]
         )
+
+    def test_label_threshold_leaves_dedup_hash_alone(self):
+        for override in ("label.distance_threshold_miles=690", "label.split_ratio=0.7"):
+            assert stage_hash("dedup") == stage_hash("dedup", [override])
 
     @pytest.mark.parametrize(
         "override",
@@ -173,11 +199,17 @@ class TestHash:
         ],
     )
     def test_location_and_execution_keys_excluded(self, override):
-        assert load_config().hash() == load_config(overrides=[override]).hash()
+        dotted = override.split("=")[0]
+        for stage in STAGES.values():
+            # neither the key nor a section holding it is in any key list
+            assert not any(dotted == k or dotted.startswith(k + ".") for k in stage.config)
+            assert stage_hash(stage.name) == stage_hash(stage.name, [override])
 
     def test_hash_matches_function(self):
         cfg = load_config()
-        assert cfg.hash() == config_hash(cfg.raw)
+        assert STAGES["dedup"].config_hash(cfg) == config_hash(cfg.raw, ("seed", "dedup"))
+        # the order of a stage's key list does not matter
+        assert config_hash(cfg.raw, ("seed", "dedup")) == config_hash(cfg.raw, ("dedup", "seed"))
 
 
 class TestRawIsolation:

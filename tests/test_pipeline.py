@@ -1,11 +1,15 @@
+import csv
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+import adgraph
 from adgraph import pipeline
-from adgraph.config import load_config
+from adgraph.config import DEFAULTS, config_hash, load_config
+from adgraph.corpus import CSV_COLUMNS, read_jsonl, to_row
 from adgraph.errors import PipelineError
 from adgraph.pipeline import ALL_CHAIN, ARTIFACTS, run_all, run_stage
 
@@ -54,7 +58,7 @@ class TestFullChain:
         man = json.loads((workdir / "manifests" / "dedup.json").read_text())
         assert set(man) == {"stage", "version", "config_hash", "inputs", "outputs"}
         assert man["stage"] == "dedup"
-        assert man["config_hash"] == cfg.hash()
+        assert man["config_hash"] == config_hash(cfg.raw, ("seed", "dedup"))
         assert set(man["inputs"]) == {"records", "normalized"}
         assert set(man["outputs"]) == {"clusters"}
         recorded = man["outputs"]["clusters"]
@@ -198,3 +202,157 @@ class TestStageToggles:
         assert "compare" not in names and "export" not in names
         assert not (tmp_path / "w" / "compare_report.json").exists()
         assert not (tmp_path / "w" / "graph.dot").exists()
+
+
+class TestAtomicWrites:
+    def test_writer_failing_mid_file_keeps_previous_file(self, tmp_path, monkeypatch):
+        cfg = make_cfg(tmp_path / "w")
+        for stage in ("synth", "ingest", "dedup"):
+            run_stage(stage, cfg)
+        before = artifact_bytes(cfg.workdir)
+        changed = make_cfg(tmp_path / "w", ["dedup.dup_threshold=0.8"])
+        written = 0
+
+        def to_row_then_fail(obj):
+            nonlocal written
+            written += 1
+            if written > 3:
+                raise OSError("disk full")
+            return to_row(obj)
+
+        monkeypatch.setattr(pipeline, "to_row", to_row_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_stage("dedup", changed)
+        monkeypatch.undo()
+        assert written > 3  # the failure came after rows were written
+        # old clusters.jsonl and manifest intact, no temp file left behind
+        assert artifact_bytes(cfg.workdir) == before
+        assert not run_stage("dedup", cfg)["ran"]
+        assert run_stage("dedup", changed)["ran"]
+        man = json.loads((cfg.workdir / "manifests" / "dedup.json").read_text())
+        assert man["config_hash"] == pipeline.STAGES["dedup"].config_hash(changed)
+
+
+def leaves(tree: dict, prefix: str = ""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+# One changed value per config leaf; {files} is a directory of input files
+# that the keyed_base fixture writes. Every rerun runs in a copy of the base
+# workdir at another path, so "workdir" needs no override of its own.
+PERTURBED = {
+    "seed": ["seed=1"],
+    "workdir": [],
+    "threads": ["threads=2"],
+    "corpus.path": ["corpus.path={files}/corpus.jsonl"],
+    "corpus.format": ["corpus.format=csv", "corpus.path={files}/corpus.csv"],
+    "corpus.annotations": ["corpus.annotations={files}/annotations.jsonl"],
+    "gazetteer": ["gazetteer={files}/gazetteer.csv"],
+    "dedup.shingle_k": ["dedup.shingle_k=4"],
+    "dedup.num_signatures": ["dedup.num_signatures=64"],
+    "dedup.bands": ["dedup.bands=16"],
+    "dedup.dup_threshold": ["dedup.dup_threshold=0.8"],
+    "graph.quarantine_cap": ["graph.quarantine_cap=3"],
+    "label.pair_sim_threshold": ["label.pair_sim_threshold=0.3"],
+    "label.distance_threshold_miles": ["label.distance_threshold_miles=690"],
+    "label.phone_count_threshold": ["label.phone_count_threshold=4"],
+    "label.rule_combination": ["label.rule_combination=and"],
+    "label.split_ratio": ["label.split_ratio=0.6"],
+    "label.pairs_per_class": ["label.pairs_per_class=20"],
+    "label.include_giant_component": ["label.include_giant_component=false"],
+    "label.feature_scope": ["label.feature_scope=ad"],
+    "analysis.strata": ["analysis.strata=source"],
+    "analysis.variant.pair_sim_threshold": ["analysis.variant.pair_sim_threshold=0.3"],
+    "analysis.variant.distance_threshold_miles": ["analysis.variant.distance_threshold_miles=500"],
+    "analysis.variant.phone_count_threshold": ["analysis.variant.phone_count_threshold=5"],
+    "analysis.variant.rule_combination": ["analysis.variant.rule_combination=and"],
+    "synth.n_ads": ["synth.n_ads=120"],
+    "synth.dup_rate": ["synth.dup_rate=0.3"],
+    "synth.n_components": ["synth.n_components=9"],
+    "synth.component_size_distribution": ["synth.component_size_distribution=uniform"],
+    "synth.obfuscation_rate": ["synth.obfuscation_rate=0.2"],
+    "export.format": ["export.format=dot"],
+    "export.component": ["export.component=0"],
+    "stages.compare": ["stages.compare=false"],
+    "stages.export": ["stages.export=false"],
+}
+
+PINNED_RERUNS = {
+    "label.distance_threshold_miles": {"label-htrp", "compare"},
+    "label.phone_count_threshold": {"label-htrp", "compare"},
+    "threads": set(),
+    "workdir": set(),
+    "stages.compare": set(),
+}
+
+
+def chain(cfg) -> set[str]:
+    """synth then run_all; the stages that ran."""
+    results = [run_stage("synth", cfg), *run_all(cfg)]
+    return {r["stage"] for r in results if r["ran"]}
+
+
+@pytest.fixture(scope="module")
+def keyed_base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("keyed")
+    base = root / "base"
+    chain(make_cfg(base))
+    files = root / "files"
+    files.mkdir()
+    shutil.copy(base / "corpus.jsonl", files / "corpus.jsonl")
+    with open(files / "corpus.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer.writeheader()
+        for row in read_jsonl(base / "corpus.jsonl"):
+            row["locations"] = ";".join(row["locations"])
+            row["declared_phone"] = row["declared_phone"] or ""
+            writer.writerow(row)
+    (files / "annotations.jsonl").write_text('{"ad_id": "no-such-ad", "spans": []}\n')
+    shutil.copy(Path(adgraph.__file__).parent / "data" / "gazetteer.csv", files / "gazetteer.csv")
+    return base, files
+
+
+def rerun_matches_fresh(keyed_base, overrides, tmp_path) -> set[str]:
+    """Rerun a copy of the base chain under `overrides`, check it against a
+    fresh chain with the same settings, and return the stages that reran."""
+    base, files = keyed_base
+    overrides = [o.format(files=files) for o in overrides]
+    shutil.copytree(base, tmp_path / "rerun")
+    ran = chain(make_cfg(tmp_path / "rerun", overrides))
+    chain(make_cfg(tmp_path / "fresh", overrides))
+    old = artifact_bytes(base)
+    got = artifact_bytes(tmp_path / "rerun")
+    want = artifact_bytes(tmp_path / "fresh")
+    # every file a fresh chain writes, manifests included, byte for byte
+    assert {name: got.get(name) for name in want} == want
+    # anything else is left over from the base run (a disabled stage or an
+    # export format no longer asked for), untouched
+    extra = set(got) - set(want)
+    assert {name: got[name] for name in extra} == {name: old.get(name) for name in extra}
+    # a stage reran only when its config keys or its inputs changed
+    for stage in ran:
+        before = json.loads((base / "manifests" / f"{stage}.json").read_text())
+        after = json.loads((tmp_path / "rerun" / "manifests" / f"{stage}.json").read_text())
+        assert (before["config_hash"], before["inputs"]) != (after["config_hash"], after["inputs"])
+    return ran
+
+
+class TestStageConfigKeys:
+    def test_every_leaf_has_a_perturbation(self):
+        assert set(PERTURBED) == set(leaves(DEFAULTS))
+
+    @pytest.mark.parametrize("leaf", sorted(leaves(DEFAULTS)))
+    def test_one_setting_reruns_only_what_it_reaches(self, keyed_base, leaf, tmp_path):
+        ran = rerun_matches_fresh(keyed_base, PERTURBED[leaf], tmp_path)
+        if leaf in PINNED_RERUNS:
+            assert ran == PINNED_RERUNS[leaf]
+
+    def test_relabel_reruns_only_the_rule_stages(self, keyed_base, tmp_path):
+        relabel = (
+            PERTURBED["label.distance_threshold_miles"] + PERTURBED["label.phone_count_threshold"]
+        )
+        assert rerun_matches_fresh(keyed_base, relabel, tmp_path) == {"label-htrp", "compare"}
