@@ -28,6 +28,16 @@ CSV_COLUMNS = ("ad_id", "title", "description", "posted_at", "locations", "decla
 # so a pathological input cannot loop forever
 _NORMALIZE_ROUNDS = 4
 
+# str.translate table deleting control characters (category Cc) other than
+# whitespace. Cc is fixed by Unicode's stability policy at U+0000..U+001F
+# and U+007F..U+009F, so scanning the code points below U+00A0 finds all of
+# it; a scan of every code point would cost about 0.4 s at import.
+_DELETE_CONTROL = {
+    cp: None
+    for cp in range(0xA0)
+    if unicodedata.category(chr(cp)) == "Cc" and not chr(cp).isspace()
+}
+
 
 @dataclass
 class AdRecord:
@@ -87,7 +97,7 @@ def normalize_text(text: str) -> str:
     removed before the casefold/NFC fixpoint so their removal cannot
     expose a composition on a later pass.
     """
-    s = "".join(ch for ch in text if ch.isspace() or unicodedata.category(ch) != "Cc")
+    s = text.translate(_DELETE_CONTROL)
     prev = None
     for _ in range(_NORMALIZE_ROUNDS):
         if s == prev:

@@ -54,10 +54,22 @@ def levenshtein(a: str, b: str) -> int:
     """Exact edit distance (insert, delete, substitute all cost 1).
 
     Myers' bit-parallel formulation; Python integers serve as unbounded
-    bit vectors so long strings need no blocking.
+    bit vectors so long strings need no blocking. A common prefix and
+    suffix never change the distance, so they are stripped first and
+    the loop runs only over the differing middle.
     """
     if a == b:
         return 0
+    n = min(len(a), len(b))
+    p = 0
+    while p < n and a[p] == b[p]:
+        p += 1
+    # the suffix stops where the prefix ends, so the two never overlap
+    n -= p
+    s = 0
+    while s < n and a[-1 - s] == b[-1 - s]:
+        s += 1
+    a, b = a[p : len(a) - s], b[p : len(b) - s]
     m = len(a)
     if m == 0:
         return len(b)

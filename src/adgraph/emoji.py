@@ -7,6 +7,7 @@ host's unicodedata version.
 from __future__ import annotations
 
 import json
+import re
 from functools import lru_cache
 from importlib import resources
 
@@ -24,23 +25,20 @@ def emoji_ranges() -> tuple[tuple[int, int], ...]:
     return tuple(ranges)
 
 
-def is_emoji(ch: str) -> bool:
-    """True if the single character falls in an emoji range."""
-    cp = ord(ch)
-    ranges = emoji_ranges()
-    lo, hi = 0, len(ranges) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        first, last = ranges[mid]
-        if cp < first:
-            hi = mid - 1
-        elif cp > last:
-            lo = mid + 1
-        else:
-            return True
-    return False
+@lru_cache(maxsize=1)
+def emoji_class() -> str:
+    """The emoji ranges as the inside of a regex character class."""
+    return "".join(
+        rf"\U{first:08X}" if first == last else rf"\U{first:08X}-\U{last:08X}"
+        for first, last in emoji_ranges()
+    )
+
+
+@lru_cache(maxsize=1)
+def _emoji_re() -> re.Pattern[str]:
+    return re.compile(f"[{emoji_class()}]")
 
 
 def count_emoji(text: str) -> int:
     """Number of emoji codepoints in text (sequences count per codepoint)."""
-    return sum(1 for ch in text if is_emoji(ch))
+    return len(_emoji_re().findall(text))

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import NormalizedAd, Reject
-from .emoji import is_emoji
+from .emoji import emoji_class
 
 KINDS = ("phone", "email", "social_handle", "url")
 
@@ -28,9 +29,16 @@ _DIGIT_WORDS = {
     "four": "4", "five": "5", "six": "6", "seven": "7", "eight": "8", "nine": "9",
 }
 _HOMOPHONES = {"to": "2", "too": "2", "for": "4", "ate": "8", "o": "0"}
-_SEPARATOR_CHARS = set("-–—.()")
 
-_ATOM_RE = re.compile(r"[0-9]+|[A-Za-z]+")
+# A digit run, or a digit/homophone word that is a whole ASCII letter run.
+# re.ASCII keeps IGNORECASE from folding non-ASCII letters onto ASCII ones
+# (U+212A KELVIN SIGN to "k", U+017F LONG S to "s", U+0130/U+0131 to "i"),
+# in the words and in the lookarounds alike.
+_ATOM_RE = re.compile(
+    r"[0-9]+|(?<![A-Za-z])(?:%s)(?![A-Za-z])"
+    % "|".join(sorted({*_DIGIT_WORDS, *_HOMOPHONES}, key=lambda w: (-len(w), w))),
+    re.ASCII | re.IGNORECASE,
+)
 _EMAIL_RE = re.compile(r"[A-Za-z0-9._%+\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}")
 _URL_RE = re.compile(r"https?://[^\s<>\"']+", re.IGNORECASE)
 _PLATFORMS = {
@@ -67,8 +75,10 @@ class _Atom:
     is_run: bool  # a literal digit run, one digit per char
 
 
-def _is_separator(ch: str) -> bool:
-    return ch.isspace() or ch in _SEPARATOR_CHARS or is_emoji(ch)
+@lru_cache(maxsize=1)
+def _gap_re() -> re.Pattern[str]:
+    """Up to three separators: whitespace, dash, dot, parens, emoji."""
+    return re.compile(rf"[\s\-–—.(){emoji_class()}]{{0,3}}")
 
 
 def _atoms(text: str) -> list[_Atom]:
@@ -81,18 +91,18 @@ def _atoms(text: str) -> list[_Atom]:
         word = tok.lower()
         if word in _DIGIT_WORDS:
             out.append(_Atom(m.start(), m.end(), _DIGIT_WORDS[word], True, False))
-        elif word in _HOMOPHONES:
+        else:
             out.append(_Atom(m.start(), m.end(), _HOMOPHONES[word], False, False))
     return out
 
 
 def _chain(atoms: list[_Atom], text: str) -> list[list[_Atom]]:
+    is_gap = _gap_re().fullmatch
     chains: list[list[_Atom]] = []
     cur: list[_Atom] = []
     for atom in atoms:
         if cur:
-            gap = text[cur[-1].end : atom.start]
-            if len(gap) <= 3 and all(_is_separator(ch) for ch in gap):
+            if is_gap(text, cur[-1].end, atom.start):
                 cur.append(atom)
                 continue
             chains.append(cur)

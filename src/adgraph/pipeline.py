@@ -286,11 +286,14 @@ def _run_compare(ctx: StageContext) -> None:
 def _run_export(ctx: StageContext) -> None:
     graph = ctx.graph()
     comp = ctx.cfg.export_component
-    fmt = ctx.cfg.export_format
-    if fmt in ("graphml", "both"):
-        export_graphml(graph, ctx.path("graphml"), component=comp)
-    if fmt in ("dot", "both"):
-        export_dot(graph, ctx.path("dot"), component=comp)
+    wanted = _export_outputs(ctx.cfg)
+    for fmt, export in (("graphml", export_graphml), ("dot", export_dot)):
+        if fmt in wanted:
+            export(graph, ctx.path(fmt), component=comp)
+        else:
+            # an earlier run's file in a format no longer asked for would
+            # sit beside a manifest that does not list it
+            ctx.path(fmt).unlink(missing_ok=True)
 
 
 def _export_outputs(cfg: PipelineConfig) -> tuple[str, ...]:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import deque
+
+from adgraph.emoji import emoji_ranges
 
 
 def levenshtein_ref(a: str, b: str) -> int:
@@ -23,6 +26,50 @@ def levenshtein_ref(a: str, b: str) -> int:
             cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+def is_emoji_ref(ch: str) -> bool:
+    """Binary search of the package's emoji range table."""
+    cp = ord(ch)
+    ranges = emoji_ranges()
+    lo, hi = 0, len(ranges) - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        first, last = ranges[mid]
+        if cp < first:
+            hi = mid - 1
+        elif cp > last:
+            lo = mid + 1
+        else:
+            return True
+    return False
+
+
+_DIGIT_WORDS_REF = {
+    "zero": "0", "oh": "0", "one": "1", "two": "2", "three": "3",
+    "four": "4", "five": "5", "six": "6", "seven": "7", "eight": "8", "nine": "9",
+}
+_HOMOPHONES_REF = {"to": "2", "too": "2", "for": "4", "ate": "8", "o": "0"}
+
+
+def atoms_ref(text: str) -> list[tuple[int, int, str, bool, bool]]:
+    """Phone atoms as (start, end, digits, strong, is_run).
+
+    Tokenizes every ASCII digit run and every ASCII letter run, then
+    keeps the letter runs that spell a digit (strong) or a homophone.
+    """
+    out = []
+    for m in re.finditer(r"[0-9]+|[A-Za-z]+", text):
+        tok = m.group()
+        if tok[0].isdigit():
+            out.append((m.start(), m.end(), tok, True, True))
+            continue
+        word = tok.lower()
+        if word in _DIGIT_WORDS_REF:
+            out.append((m.start(), m.end(), _DIGIT_WORDS_REF[word], True, False))
+        elif word in _HOMOPHONES_REF:
+            out.append((m.start(), m.end(), _HOMOPHONES_REF[word], False, False))
+    return out
 
 
 def similarity_ref(a: str, b: str) -> float:

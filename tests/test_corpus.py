@@ -1,4 +1,6 @@
 import json
+import sys
+import unicodedata
 from datetime import timezone
 
 import pytest
@@ -37,6 +39,15 @@ class TestNormalizeText:
 
     def test_empty(self):
         assert corpus.normalize_text("") == ""
+
+    def test_control_table_deletes_exactly_non_space_cc(self):
+        wrong = []
+        for cp in range(sys.maxunicode + 1):
+            ch = chr(cp)
+            strip = unicodedata.category(ch) == "Cc" and not ch.isspace()
+            if ch.translate(corpus._DELETE_CONTROL) != ("" if strip else ch):
+                wrong.append(cp)
+        assert wrong == []
 
     @given(st.text(max_size=200))
     @settings(max_examples=300, deadline=None)

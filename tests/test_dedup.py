@@ -21,6 +21,12 @@ class TestLevenshtein:
         ("flaw", "lawn", 2),
         ("gumbo", "gambol", 2),
         ("a" * 70, "a" * 70 + "b", 1),  # crosses the 64-bit word boundary
+        # a shared prefix and suffix that would overlap in the shorter string
+        ("aaa", "aa", 1),
+        ("abcab", "ab", 3),
+        ("ab", "abcab", 3),
+        ("aba", "a", 2),
+        ("abc", "abcdef", 3),  # one string a prefix of the other
     ]
 
     @pytest.mark.parametrize("a,b,want", CASES)
@@ -38,6 +44,17 @@ class TestLevenshtein:
     @given(st.text(max_size=30), st.text(max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_any_text(self, a, b):
+        assert dedup.levenshtein(a, b) == levenshtein_ref(a, b)
+
+    @given(
+        st.text(alphabet="abc ", min_size=20, max_size=80),
+        st.text(alphabet="abc ", max_size=8),
+        st.text(alphabet="abc ", max_size=8),
+        st.text(alphabet="abc ", min_size=20, max_size=80),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_long_shared_affixes_match_reference(self, p, x, y, s):
+        a, b = p + x + s, p + y + s
         assert dedup.levenshtein(a, b) == levenshtein_ref(a, b)
 
     def test_long_strings_match_reference(self):

@@ -1,11 +1,15 @@
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adgraph import extract
 from adgraph.corpus import NormalizedAd
 
 from conftest import make_norm
+from oracles import atoms_ref, is_emoji_ref
 
 
 def norm_for(text: str) -> NormalizedAd:
@@ -81,6 +85,56 @@ class TestDeobfuscatePhone:
         text = "xx five five five one two three zero one four seven yy"
         [(digits, (start, end))] = extract.deobfuscate_phone(text)
         assert text[start:end].startswith("five") and text[start:end].endswith("seven")
+
+
+def _mixed_case(word: str):
+    return st.tuples(*(st.sampled_from((c.lower(), c.upper())) for c in word)).map("".join)
+
+
+_WORDS = sorted({*extract._DIGIT_WORDS, *extract._HOMOPHONES})
+# U+212A, U+017F, U+0130 and U+0131 fold onto ASCII letters under a
+# Unicode-mode IGNORECASE; they are not letters to the atom scanner
+_TRAPS = ("\u212a", "\u017f", "\u0130", "\u0131", "\u017fix", "f\u0131ve", "e\u0131ght", "\u212aone")
+_ATOM_TEXT = st.lists(
+    st.one_of(
+        st.text("0123456789", min_size=1, max_size=4),
+        st.sampled_from(_WORDS).flatmap(_mixed_case),
+        st.text("abcdefghinorstuvwxzEFINORSTVWXZ", min_size=1, max_size=3),
+        st.sampled_from((" ", "-", "–", "—", ".", "(", ")", "\t", "\u3000", "_", "/")),
+        st.sampled_from(("\U0001F600", "\u260e", "\u2728", "\u2122")),
+        st.sampled_from(_TRAPS),
+    ),
+    max_size=20,
+).map("".join)
+
+
+class TestAtomScanner:
+    @given(_ATOM_TEXT)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_tokenize_then_filter_reference(self, text):
+        got = [(a.start, a.end, a.digits, a.strong, a.is_run) for a in extract._atoms(text)]
+        assert got == atoms_ref(text)
+
+    @pytest.mark.parametrize("text", ["\u212aone", "\u017fix", "s\u0131x", "f\u0130ve", "\u017fix 555"])
+    def test_case_fold_traps_are_not_letters(self, text):
+        got = [(a.start, a.end, a.digits, a.strong, a.is_run) for a in extract._atoms(text)]
+        assert got == atoms_ref(text)
+
+    def test_gap_class_matches_separator_definition_on_every_code_point(self):
+        is_gap = extract._gap_re().fullmatch
+        wrong = []
+        for cp in range(sys.maxunicode + 1):
+            ch = chr(cp)
+            if bool(is_gap(ch)) != (ch.isspace() or ch in "-–—.()" or is_emoji_ref(ch)):
+                wrong.append(cp)
+        assert wrong == []
+
+    @pytest.mark.parametrize(
+        "gap,joined",
+        [("", True), (" - ", True), ("(\U0001F600)", True), (" -- ", False), ("x", False)],
+    )
+    def test_gap_length_limit(self, gap, joined):
+        assert bool(extract._gap_re().fullmatch(gap)) == joined
 
 
 class TestCanonicalPhone:

@@ -95,6 +95,49 @@ class TestDeterminism:
         assert runs["one"] == runs["threaded"]
 
 
+# sha256 of every file synth + run_all writes for SYNTH_ARGS. A change that
+# should leave outputs alone (a speed-up, a refactor) must leave these
+# alone; one that means to change an artifact updates the digest and says
+# why.
+PINNED_DIGESTS = {
+    "annotation_rejects.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "clusters.jsonl": "4d7c0145ad1ec28bb7ca008588674d4824aee8aadc07bbd08fbb100df5ea615b",
+    "compare_report.json": "13ce4269f39ea8be9989ccaea8f080f864b424a7b2be421720aa30c8e346479d",
+    "component_stats.csv": "a27a8d1e0695eb6e2cb9951e57525d1a3eeb66f83d24cac94cfcddc2a6216fd5",
+    "corpus.jsonl": "678c6a05f277325803bad9540e4e7ad284a76e4f7c91c545eca1ad9513d6c019",
+    "graph.dot": "a4c97149d5e60b0ec6f102d2ebf49e10aa80ead8d31d800f0055b60cbf4e92b9",
+    "graph.graphml": "acd2579def624c83d4330453b484b9b896924613870218f1543030718021e4b3",
+    "graph.json": "d1ea8235bd7c8b6e7f8f41eca0cdb5137fd4041b9752f120d4ddb85defe3f862",
+    "ground_truth.json": "15781eceba7c9d225d7a5379110dbfe6129183f16854505acec35608ff56138f",
+    "htrp_labels.jsonl": "fb9d88a9dd5c36a0a46dc08bed4e191138a762f6c2b40569f6053c459adc70dd",
+    "htrp_labels_variant.jsonl": "2beb94b533bde53cbe3190cacef3ba880445d9fdc7c8fb1b8f5796d78378bc59",
+    "identifiers.jsonl": "aa1ca7e8ace8c9edf0a46387779e5aeae7c618570833af928d155d832b7f862a",
+    "manifests/compare.json": "a59d638b5aa2c3294f5df689fa37b6880ff2a5067cbf41e48c32106e1e30e6ad",
+    "manifests/dedup.json": "8c50c4884b68657ddde7d185caaa14ac30a6b73ff681a7d38b745f4e18b777e2",
+    "manifests/export.json": "c439b742bd7d4c6c14a1aa527cb4e66803d405af59fdb4611806cf2dc1794ea4",
+    "manifests/extract.json": "49d119fff0c867889d0feeac23225cf2d33b5edacdbd03f9e86e2e5f015cc0b0",
+    "manifests/graph.json": "cf925e630bb6b696f556c5389de6e315d3ead0a1838d6028b1b1abc97a33c291",
+    "manifests/ingest.json": "335db2d48285043268a0ab052c20a02b59f00caefd81ac0d50e9d861b1035a28",
+    "manifests/label-htrp.json": "46037e852a296bbedcd98dd8a1446b85e1c1ca386dc3befe49a88f53eb6b8004",
+    "manifests/label-oad.json": "d4352c274a04ad368f25f2c7f6f8aca646d804d753e19416c6ffb012dc6aa94b",
+    "manifests/split.json": "b6250083b329cb6af33a56dae0c510187f71a81fe96591f255caf1a695c93f20",
+    "manifests/stats.json": "bfadb6d1dbc746937c50a4862cc5bffbf57e38e4225cdf54bfb5514531d05df0",
+    "manifests/synth.json": "16d2b02de342131b0b5437ca03f163d28c335882ae9111c7faab220083864b63",
+    "normalized.jsonl": "797472aa8ad6393b0e1163eda3b6f4ac792bfe4e7c5ae94093273793f4459388",
+    "oad_pairs.jsonl": "ff1a5b0508de03e998dc3c922af3a651bf800d42de3b450f85962c853d39b468",
+    "records.jsonl": "678c6a05f277325803bad9540e4e7ad284a76e4f7c91c545eca1ad9513d6c019",
+    "rejects.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "split.json": "3ae7de7641b2914e2d7f2149e8681fd664e99ba1910c9f60f84d5a6cf3d5ea9a",
+    "split_report.json": "0a68fe94ecdcca98e49bd102a44ec545f1c6aaafb856c771ea12755cc4b0576f",
+}
+
+
+class TestSameBytesOut:
+    def test_every_file_matches_its_pinned_digest(self, full_run):
+        workdir, _, _ = full_run
+        assert artifact_bytes(workdir) == PINNED_DIGESTS
+
+
 class TestStaleness:
     @pytest.fixture()
     def prepared(self, tmp_path):
@@ -175,6 +218,22 @@ class TestExportOptions:
         run_stage("export", cfg)
         assert (graph_ready / "graph.graphml").exists()
         assert not (graph_ready / "graph.dot").exists()
+
+    def test_format_change_removes_the_file_no_longer_asked_for(self, graph_ready):
+        def export(fmt):
+            cfg = load_config(
+                overrides=SYNTH_ARGS + [f"export.format={fmt}"],
+                cli_values={"workdir": str(graph_ready)},
+            )
+            assert run_stage("export", cfg)["ran"]
+            man = json.loads((graph_ready / "manifests" / "export.json").read_text())
+            on_disk = {a for a in ("graphml", "dot") if (graph_ready / ARTIFACTS[a]).exists()}
+            assert set(man["outputs"]) == on_disk
+            return on_disk
+
+        assert export("both") == {"graphml", "dot"}
+        assert export("dot") == {"dot"}
+        assert export("graphml") == {"graphml"}
 
     def test_component_filter(self, graph_ready):
         graph = json.loads((graph_ready / "graph.json").read_text())
@@ -329,8 +388,8 @@ def rerun_matches_fresh(keyed_base, overrides, tmp_path) -> set[str]:
     want = artifact_bytes(tmp_path / "fresh")
     # every file a fresh chain writes, manifests included, byte for byte
     assert {name: got.get(name) for name in want} == want
-    # anything else is left over from the base run (a disabled stage or an
-    # export format no longer asked for), untouched
+    # anything else is left over from the base run (a disabled stage),
+    # untouched
     extra = set(got) - set(want)
     assert {name: got[name] for name in extra} == {name: old.get(name) for name in extra}
     # a stage reran only when its config keys or its inputs changed
