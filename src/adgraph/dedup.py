@@ -131,13 +131,52 @@ def _hash_params(cfg: SimilarityConfig) -> tuple[np.ndarray, np.ndarray]:
     return mult, add
 
 
-def minhash_signature(text: str, cfg: SimilarityConfig, params=None) -> np.ndarray:
-    """Minhash signature of one text; all-max sentinel if text is too short."""
-    mult, add = params if params is not None else _hash_params(cfg)
-    shingles = _shingle_hashes(text, cfg.shingle_k)
-    if shingles.size == 0:
-        return np.full(cfg.num_signatures, np.iinfo(np.uint64).max, dtype=_U64)
-    return (shingles[:, None] * mult[None, :] + add[None, :]).min(axis=0)
+def _signature_matrix(shingles: Sequence[np.ndarray], cfg: SimilarityConfig) -> np.ndarray:
+    """One minhash signature row per non-empty shingle array.
+
+    Each row is its own (shingles x num_signatures) product, so the
+    temporary stays the size of one text's shingle set.
+    """
+    mult, add = _hash_params(cfg)
+    sigs = np.empty((len(shingles), cfg.num_signatures), dtype=_U64)
+    for row, arr in zip(sigs, shingles):
+        np.min(arr[:, None] * mult + add, axis=0, out=row)
+    return sigs
+
+
+def _buckets(texts: Sequence[str], shingles: Sequence[np.ndarray], cfg: SimilarityConfig):
+    """Yield each group (ascending indices, two or more) of candidate texts.
+
+    Texts with shingles go through minhash + banding: a group is the
+    texts whose signatures agree on every row of one band, found by
+    sorting the band's rows as fixed-width byte keys, so only exact
+    equality buckets. Texts without shingles (shorter than shingle_k)
+    group by exact text equality only. A pair may share many groups.
+    """
+    long_ids: list[int] = []
+    short: dict[str, list[int]] = {}
+    for i, arr in enumerate(shingles):
+        if arr.size:
+            long_ids.append(i)
+        else:
+            short.setdefault(texts[i], []).append(i)
+    if len(long_ids) > 1:
+        sigs = _signature_matrix([shingles[i] for i in long_ids], cfg)
+        ids = np.array(long_ids, dtype=np.intp)
+        rows = cfg.rows_per_band
+        for band in range(cfg.bands):
+            keys = np.ascontiguousarray(sigs[:, band * rows : (band + 1) * rows])
+            keys = keys.view(np.dtype((np.void, keys.dtype.itemsize * rows))).ravel()
+            # stable, so members of a bucket stay in ascending index order
+            order = np.argsort(keys, kind="stable")
+            ordered = keys[order]
+            starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+            for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+                if hi - lo > 1:
+                    yield ids[order[lo:hi]].tolist()
+    for members in short.values():
+        if len(members) > 1:
+            yield members
 
 
 def candidate_pairs(ads: Sequence[NormalizedAd], cfg: SimilarityConfig) -> set[tuple[str, str]]:
@@ -147,27 +186,11 @@ def candidate_pairs(ads: Sequence[NormalizedAd], cfg: SimilarityConfig) -> set[t
     band collision makes a pair a candidate. Shorter texts are compared
     by exact text equality only.
     """
-    params = _hash_params(cfg)
-    rows = cfg.rows_per_band
-    buckets: dict[tuple[int, bytes], list[str]] = {}
-    short_groups: dict[str, list[str]] = {}
-    for ad in ads:
-        if len(ad.norm_text) < cfg.shingle_k:
-            short_groups.setdefault(ad.norm_text, []).append(ad.ad_id)
-            continue
-        sig = minhash_signature(ad.norm_text, cfg, params)
-        for band in range(cfg.bands):
-            key = (band, sig[band * rows : (band + 1) * rows].tobytes())
-            buckets.setdefault(key, []).append(ad.ad_id)
-
+    texts = [ad.norm_text for ad in ads]
+    shingles = [_shingle_hashes(t, cfg.shingle_k) for t in texts]
     pairs: set[tuple[str, str]] = set()
-    for members in itertools.chain(buckets.values(), short_groups.values()):
-        if len(members) < 2:
-            continue
-        members = sorted(set(members))
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                pairs.add((a, b))
+    for members in _buckets(texts, shingles, cfg):
+        pairs.update(itertools.combinations(sorted({ads[i].ad_id for i in members}), 2))
     return pairs
 
 
@@ -217,51 +240,65 @@ def deduplicate(
     reps.sort(key=lambda ad: ad.ad_id)
 
     threshold = cfg.dup_threshold
-    uf = UnionFind(ad.ad_id for ad in reps)
-    shingle_cache: dict[str, np.ndarray] = {}
+    k = cfg.shingle_k
+    texts = [ad.norm_text for ad in reps]
+    shingles = [_shingle_hashes(t, k) for t in texts]
 
-    def shingle_arr(ad_id: str) -> np.ndarray:
-        arr = shingle_cache.get(ad_id)
-        if arr is None:
-            arr = _shingle_hashes(by_id[ad_id].norm_text, cfg.shingle_k)
-            shingle_cache[ad_id] = arr
-        return arr
-
-    for id_a, id_b in sorted(candidate_pairs(reps, cfg)):
-        if uf.connected(id_a, id_b):
-            continue
-        ta, tb = by_id[id_a].norm_text, by_id[id_b].norm_text
-        longest = max(len(ta), len(tb))
-        if longest == 0:
-            uf.union(id_a, id_b)
-            continue
-        if 1.0 - abs(len(ta) - len(tb)) / longest < threshold:
-            continue
+    def verified(a: int, b: int, longest: int) -> bool:
         # One edit changes at most shingle_k members of a text's shingle
         # set, so similarity >= threshold (edit distance <= d_allow)
         # forces exact shingle-set Jaccard >= j_min. Measuring a Jaccard
         # below that floor proves the pair fails verification, skipping
         # the far costlier edit-distance computation; the bound is
         # vacuous (lo <= 0) for loose thresholds and then never skips.
-        sa, sb = shingle_arr(id_a), shingle_arr(id_b)
-        if sa.size and sb.size:
-            d_allow = (1.0 - threshold) * longest
-            m = float(max(sa.size, sb.size))
-            lo = m - cfg.shingle_k * d_allow
-            if lo > 0.0:
-                inter = np.intersect1d(sa, sb, assume_unique=True).size
-                union = sa.size + sb.size - inter
-                j_min = lo / (m + cfg.shingle_k * d_allow)
-                if inter / union < j_min - 1e-9:
+        # Both texts have shingles: reps too short for any are distinct
+        # texts, so they never share a group.
+        sa, sb = shingles[a], shingles[b]
+        d_allow = (1.0 - threshold) * longest
+        m = float(max(sa.size, sb.size))
+        lo = m - k * d_allow
+        if lo > 0.0:
+            inter = np.intersect1d(sa, sb, assume_unique=True).size
+            union = sa.size + sb.size - inter
+            j_min = lo / (m + k * d_allow)
+            if inter / union < j_min - 1e-9:
+                return False
+        return 1.0 - levenshtein(texts[a], texts[b]) / longest >= threshold
+
+    # Clusters are the transitive closure of verified candidate edges, so
+    # the order pairs are visited in cannot change them: a pair already
+    # connected needs no check, and a pair that failed once (in another
+    # band) fails again.
+    n = len(reps)
+    uf = UnionFind(range(n))
+    find = uf.find
+    failed: set[int] = set()
+    for members in _buckets(texts, shingles, cfg):
+        if len({find(i) for i in members}) == 1:
+            continue
+        for x, a in enumerate(members):
+            for b in members[x + 1 :]:
+                if find(a) == find(b):
                     continue
-        if 1.0 - levenshtein(ta, tb) / longest >= threshold:
-            uf.union(id_a, id_b)
+                # the length filter costs no more than a lookup in
+                # `failed`, so only the costlier verdicts are remembered
+                la, lb = len(texts[a]), len(texts[b])
+                longest = max(la, lb)
+                if 1.0 - abs(la - lb) / longest < threshold:
+                    continue
+                key = a * n + b
+                if key in failed:
+                    continue
+                if verified(a, b, longest):
+                    uf.union(a, b)
+                else:
+                    failed.add(key)
 
     clusters: list[DuplicateCluster] = []
     for members in uf.groups().values():
         all_ids: list[str] = []
-        for rep_id in members:
-            all_ids.extend(groups[by_id[rep_id].norm_text])
+        for i in members:
+            all_ids.extend(groups[texts[i]])
         all_ids.sort()
         canonical = min(all_ids, key=sort_key)
         method = "near" if len(members) > 1 else "exact"

@@ -234,14 +234,20 @@ def extract_identifiers(declared_phone: str | None, normalized: NormalizedAd) ->
     """Rule-based identifiers for one ad.
 
     Scans original_text (spans reported), then norm_text for anything
-    surviving only after normalization (span recovered by exact
-    substring match when possible), then the declared phone field
-    (never carries a span).
+    only normalization reveals, i.e. that no original-pass identifier of
+    its kind matches up to case (span recovered by exact substring match
+    when possible), then the declared phone field (never carries a span).
     """
     original_pass = _scan_text(normalized.original_text)
 
+    # casefolding can change what a scanner reads (a url path is
+    # case-sensitive), so a norm-pass identifier that an original-pass one
+    # of its kind matches up to case is that identifier, not a second one
+    found = {(ident.kind, ident.canonical.casefold()) for ident in original_pass}
     norm_pass = []
     for ident in _scan_text(normalized.norm_text):
+        if (ident.kind, ident.canonical.casefold()) in found:
+            continue
         idx = normalized.original_text.find(ident.raw)
         if idx >= 0:
             norm_pass.append(Identifier(ident.kind, ident.raw, ident.canonical, idx, idx + len(ident.raw)))

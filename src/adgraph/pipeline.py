@@ -183,9 +183,16 @@ def _run_dedup(ctx: StageContext) -> None:
 def _run_extract(ctx: StageContext) -> None:
     records = ctx.records()
     norm_by_id = {n.ad_id: n for n in ctx.normalized()}
-    args = [(r.declared_phone, norm_by_id[r.ad_id]) for r in records]
-    found = _pmap(_extract_worker, args, ctx.threads)
-    ids_by_ad = {r.ad_id: ids for r, ids in zip(records, found)}
+    # a key holds everything extract_identifiers reads, so reposts share
+    # one call and one (never mutated) identifier list
+    keys = []
+    args: dict[tuple, tuple[str | None, corpus.NormalizedAd]] = {}
+    for r in records:
+        norm = norm_by_id[r.ad_id]
+        keys.append((r.declared_phone, norm.original_text, norm.norm_text))
+        args.setdefault(keys[-1], (r.declared_phone, norm))
+    found = dict(zip(args, _pmap(_extract_worker, list(args.values()), ctx.threads)))
+    ids_by_ad = {r.ad_id: found[key] for r, key in zip(records, keys)}
 
     ann_rejects: list = []
     if ctx.cfg.annotations_path is not None:
@@ -529,6 +536,10 @@ def run_all(cfg: PipelineConfig, force: bool = False) -> list[dict]:
     results = []
     for name in ALL_CHAIN:
         if name in ("compare", "export") and not cfg.stage_enabled(name):
+            # an earlier run's outputs would outlive the graph they describe
+            for art in STAGES[name].outputs:
+                (cfg.workdir / ARTIFACTS[art]).unlink(missing_ok=True)
+            manifest_path(cfg.workdir, name).unlink(missing_ok=True)
             log.info("[%s] disabled, skipping", name)
             continue
         results.append(run_stage(name, cfg, force=force))

@@ -46,9 +46,6 @@ class UnionFind:
             self._rank[ra] += 1
         return True
 
-    def connected(self, a: Hashable, b: Hashable) -> bool:
-        return self.find(a) == self.find(b)
-
     def groups(self) -> dict:
         """Map each root to the sorted list of its members."""
         out: dict = {}

@@ -87,6 +87,22 @@ def jaccard_shingles_ref(a: str, b: str, k: int = 5) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
+def minhash_ref(shingles: list[int], mult: list[int], add: list[int]) -> list[int]:
+    """Minhash signature: per hash, the least (s * mult + add) mod 2^64
+    over the shingle hashes s, in Python integers."""
+    mask = (1 << 64) - 1
+    return [min((s * m + a) & mask for s in shingles) for m, a in zip(mult, add)]
+
+
+def edge_closure_ref(ids, edges) -> set[frozenset[str]]:
+    """Partition of ids into the connected components of edges."""
+    adj = {i: set() for i in ids}
+    for x, y in edges:
+        adj[x].add(y)
+        adj[y].add(x)
+    return _bfs_partition(sorted(adj), adj)
+
+
 def cluster_ref(texts: dict[str, str], threshold: float) -> set[frozenset[str]]:
     """Brute-force all-pairs transitive clustering at a similarity threshold."""
     ids = sorted(texts)

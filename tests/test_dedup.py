@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,10 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adgraph import dedup
+from adgraph.corpus import NormalizedAd
 from adgraph.errors import ConfigError
 
 from conftest import make_norm, ts
-from oracles import cluster_ref, levenshtein_ref, similarity_ref
+from oracles import (
+    cluster_ref,
+    edge_closure_ref,
+    levenshtein_ref,
+    minhash_ref,
+    similarity_ref,
+)
 
 
 class TestLevenshtein:
@@ -129,6 +137,78 @@ class TestCandidatePairs:
         ads = [make_norm(f"x{i}", _random_text(rng, 60)) for i in range(30)]
         cfg = dedup.SimilarityConfig()
         assert dedup.candidate_pairs(ads, cfg) == dedup.candidate_pairs(ads, cfg)
+
+
+class TestSignatureMatrix:
+    def test_rows_match_per_text_minhash(self):
+        rng = random.Random(31)
+        cfg = dedup.SimilarityConfig()
+        texts = [_random_text(rng, rng.randint(5, 120)) for _ in range(12)]
+        texts += [texts[0], "abcde", "abcdefgh"]
+        shingles = [dedup._shingle_hashes(t, cfg.shingle_k) for t in texts]
+        sigs = dedup._signature_matrix(shingles, cfg)
+        mult, add = (p.tolist() for p in dedup._hash_params(cfg))
+        assert sigs.shape == (len(texts), cfg.num_signatures)
+        for row, arr in zip(sigs, shingles):
+            assert row.tolist() == minhash_ref(arr.tolist(), mult, add)
+
+
+ALPHABET = "abcdef "
+
+
+@st.composite
+def repost_corpora(draw):
+    """Texts with exact reposts, near reposts (a few substitutions in a
+    family member: they share buckets in many bands, chain, and some fail
+    verification), texts shorter than shingle_k and empty texts."""
+    texts = []
+    for base in draw(st.lists(st.text(ALPHABET, min_size=20, max_size=90), min_size=1, max_size=4)):
+        family = [base]
+        for _ in range(draw(st.integers(0, 5))):
+            text = list(draw(st.sampled_from(family)))
+            for _ in range(draw(st.integers(0, 6))):
+                text[draw(st.integers(0, len(text) - 1))] = draw(st.sampled_from(ALPHABET))
+            family.append("".join(text))
+        texts += family
+    texts += draw(st.lists(st.text("ab", max_size=4), max_size=4))
+    return texts
+
+
+class TestStreamedDedup:
+    @given(repost_corpora())
+    @settings(max_examples=150, deadline=None)
+    def test_partition_is_closure_of_verified_candidates(self, texts):
+        ads = [NormalizedAd(f"a{i:03d}", t, t, 0) for i, t in enumerate(texts)]
+        cfg = dedup.SimilarityConfig()
+        by_id = {ad.ad_id: ad.norm_text for ad in ads}
+        edges = [
+            (a, b)
+            for a, b in dedup.candidate_pairs(ads, cfg)
+            if similarity_ref(by_id[a], by_id[b]) >= cfg.dup_threshold
+        ]
+        got = {frozenset(c.member_ids) for c in dedup.deduplicate(ads, cfg)}
+        assert got == edge_closure_ref(by_id, edges)
+
+    @given(repost_corpora())
+    @settings(max_examples=60, deadline=None)
+    def test_candidates_are_exact_band_matches(self, texts):
+        cfg = dedup.SimilarityConfig()
+        mult, add = (p.tolist() for p in dedup._hash_params(cfg))
+        ads = [NormalizedAd(f"a{i:03d}", t, t, 0) for i, t in enumerate(texts)]
+        sigs = {}
+        for ad in ads:
+            shingles = dedup._shingle_hashes(ad.norm_text, cfg.shingle_k).tolist()
+            sigs[ad.ad_id] = minhash_ref(shingles, mult, add) if shingles else ad.norm_text
+        r = cfg.rows_per_band
+        want = set()
+        for a, b in itertools.combinations(sorted(sigs), 2):
+            sa, sb = sigs[a], sigs[b]
+            if isinstance(sa, str) or isinstance(sb, str):
+                if sa == sb:  # texts too short to shingle pair only when equal
+                    want.add((a, b))
+            elif any(sa[i : i + r] == sb[i : i + r] for i in range(0, len(sa), r)):
+                want.add((a, b))
+        assert dedup.candidate_pairs(ads, cfg) == want
 
 
 class TestDeduplicate:

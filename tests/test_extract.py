@@ -224,6 +224,21 @@ class TestExtractIdentifiers:
         assert phone.canonical == "5551230147"
         assert phone.start is None and phone.end is None
 
+    def test_mixed_case_url_path_yields_one_url(self):
+        # casefolding changes the case-sensitive path; the norm pass must
+        # not add the folded url as a second, spanless identifier
+        norm = norm_for("see https://Example.com/MyPage now")
+        [url] = extract.extract_identifiers(None, norm)
+        assert (url.kind, url.canonical) == ("url", "https://example.com/MyPage")
+        assert norm.original_text[url.start : url.end] == "https://Example.com/MyPage"
+
+    def test_whitespace_collapse_reveals_phone(self):
+        # the gaps are wider than three separators until normalization
+        # collapses them, so only the norm pass finds this phone
+        [phone] = extract.extract_identifiers(None, norm_for("call 212      555     0100"))
+        assert (phone.kind, phone.canonical) == ("phone", "2125550100")
+        assert phone.start is None
+
     def test_declared_phone_obfuscated(self):
         ids = extract.extract_identifiers("555 one two three 0148", norm_for("hi there"))
         assert [i.canonical for i in ids] == ["5551230148"]

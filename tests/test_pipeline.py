@@ -7,11 +7,13 @@ from pathlib import Path
 import pytest
 
 import adgraph
-from adgraph import pipeline
+from adgraph import extract, pipeline
 from adgraph.config import DEFAULTS, config_hash, load_config
 from adgraph.corpus import CSV_COLUMNS, read_jsonl, to_row
 from adgraph.errors import PipelineError
 from adgraph.pipeline import ALL_CHAIN, ARTIFACTS, run_all, run_stage
+
+from conftest import corpus_row, write_corpus
 
 SYNTH_ARGS = [
     "synth.n_ads=150",
@@ -261,6 +263,79 @@ class TestStageToggles:
         assert "compare" not in names and "export" not in names
         assert not (tmp_path / "w" / "compare_report.json").exists()
         assert not (tmp_path / "w" / "graph.dot").exists()
+
+    @pytest.mark.parametrize("stage", ["compare", "export"])
+    def test_disabling_a_stage_removes_its_earlier_outputs(self, tmp_path, stage):
+        # once upstream changes they would describe a graph that is gone
+        cfg = make_cfg(tmp_path / "w")
+        run_stage("synth", cfg)
+        run_all(cfg)
+        stale = [tmp_path / "w" / ARTIFACTS[a] for a in pipeline.STAGES[stage].outputs]
+        stale.append(pipeline.manifest_path(tmp_path / "w", stage))
+        assert all(p.exists() for p in stale)
+        run_all(make_cfg(tmp_path / "w", [f"stages.{stage}=false"]))
+        assert [p for p in stale if p.exists()] == []
+
+
+class TestExtractOncePerText:
+    TEXT = "reach me at 212 x 555 x 0100 or kay@example.net"
+
+    @pytest.fixture()
+    def ingested(self, tmp_path):
+        rows = [
+            corpus_row("a1", self.TEXT),
+            corpus_row("a2", self.TEXT),
+            corpus_row("a3", self.TEXT, declared_phone="2125550100"),  # other key
+            corpus_row("a4", "call 718 555 0199 now"),
+            corpus_row("a5", "call 718 555 0199 now"),
+            corpus_row("a6", "CALL 718 555 0199 now"),  # same norm_text, other original
+        ]
+        path = write_corpus(tmp_path / "corpus.jsonl", rows)
+        # only a1 is annotated, with the phone the rules cannot chain
+        # across " x "; a2 shares a1's key and so its identifier list
+        start = self.TEXT.index("212")
+        ann = {"ad_id": "a1", "spans": [{"start": start, "end": start + 16, "label": "phone"}]}
+        (tmp_path / "ann.jsonl").write_text(json.dumps(ann) + "\n")
+        cfg = make_cfg(tmp_path / "w", [f"corpus.path={path}", f"corpus.annotations={tmp_path / 'ann.jsonl'}"])
+        run_stage("ingest", cfg)
+        return cfg
+
+    def test_one_call_per_distinct_key(self, ingested, monkeypatch):
+        keys = []
+        original = extract.extract_identifiers
+
+        def counted(declared, norm):
+            keys.append((declared, norm.original_text, norm.norm_text))
+            return original(declared, norm)
+
+        monkeypatch.setattr(extract, "extract_identifiers", counted)
+        run_stage("extract", ingested)
+        ctx = pipeline.StageContext(ingested)
+        norm_by_id = {n.ad_id: n for n in ctx.normalized()}
+        want = {
+            (r.declared_phone, norm_by_id[r.ad_id].original_text, norm_by_id[r.ad_id].norm_text)
+            for r in ctx.records()
+        }
+        assert len(keys) == len(want) == 4 and set(keys) == want
+
+    def test_rows_match_per_ad_extraction_plus_own_annotation(self, ingested):
+        run_stage("extract", ingested)
+        ctx = pipeline.StageContext(ingested)
+        norm_by_id = {n.ad_id: n for n in ctx.normalized()}
+        got: dict[str, list[dict]] = {}
+        for row in read_jsonl(ingested.workdir / "identifiers.jsonl"):
+            got.setdefault(row.pop("ad_id"), []).append(row)
+        start = self.TEXT.index("212")
+        annotated = {"kind": "phone", "raw": "212 x 555 x 0100", "canonical": "2125550100",
+                     "start": start, "end": start + 16}
+        assert annotated in got["a1"]
+        assert [r["kind"] for r in got["a2"]] == ["email"]
+        got["a1"].remove(annotated)
+        per_ad = {
+            r.ad_id: [to_row(i) for i in extract.extract_identifiers(r.declared_phone, norm_by_id[r.ad_id])]
+            for r in ctx.records()
+        }
+        assert got == {ad: rows for ad, rows in per_ad.items() if rows}
 
 
 class TestAtomicWrites:
