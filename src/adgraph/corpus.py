@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field, is_dataclass
@@ -167,10 +168,23 @@ def _validate_fields(obj: dict, line: int, seen_ids: set[str]) -> AdRecord | Rej
     )
 
 
-def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict | Reject]]:
-    with open(path, encoding="utf-8") as fh:
+# read with errors="surrogateescape", a byte that is not valid UTF-8
+# becomes one of these lone surrogates, which valid UTF-8 never decodes to
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def iter_jsonl_objects(path: str | Path, noun: str) -> Iterator[tuple[int, dict | Reject]]:
+    """Each non-blank line's number and JSON object, or a Reject saying why not.
+
+    A line that is not valid UTF-8, not JSON, or not an object is a
+    reject; the lines around it are read as usual.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
+                continue
+            if not line.isascii() and _UNDECODABLE.search(line):
+                yield line_no, Reject(line_no, "invalid utf-8")
                 continue
             try:
                 obj = json.loads(line)
@@ -178,7 +192,7 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict | Reject]]:
                 yield line_no, Reject(line_no, "invalid json")
                 continue
             if not isinstance(obj, dict):
-                yield line_no, Reject(line_no, "record is not an object")
+                yield line_no, Reject(line_no, f"{noun} is not an object")
                 continue
             yield line_no, obj
 
@@ -186,21 +200,25 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict | Reject]]:
 def _iter_csv(path: Path) -> Iterator[tuple[int, dict | Reject]]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise IngestError(f"{path}: empty csv file")
-        if set(reader.fieldnames) != set(CSV_COLUMNS):
-            raise IngestError(
-                f"{path}: csv header mismatch, expected columns {sorted(CSV_COLUMNS)}, "
-                f"got {sorted(reader.fieldnames)}"
-            )
-        for row in reader:
-            line_no = reader.line_num
-            if None in row or any(v is None for v in row.values()):
-                yield line_no, Reject(line_no, "csv row width mismatch")
-                continue
-            obj: dict = dict(row)
-            obj["locations"] = [p.strip() for p in row["locations"].split(";") if p.strip()]
-            yield line_no, obj
+        try:
+            if reader.fieldnames is None:
+                raise IngestError(f"{path}: empty csv file")
+            if set(reader.fieldnames) != set(CSV_COLUMNS):
+                raise IngestError(
+                    f"{path}: csv header mismatch, expected columns {sorted(CSV_COLUMNS)}, "
+                    f"got {sorted(reader.fieldnames)}"
+                )
+            for row in reader:
+                line_no = reader.line_num
+                if None in row or any(v is None for v in row.values()):
+                    yield line_no, Reject(line_no, "csv row width mismatch")
+                    continue
+                obj: dict = dict(row)
+                obj["locations"] = [p.strip() for p in row["locations"].split(";") if p.strip()]
+                yield line_no, obj
+        except UnicodeDecodeError as e:
+            # a csv record may span lines, so the whole file is refused
+            raise IngestError(f"{path}: not valid utf-8 ({e.reason})") from e
 
 
 def ingest(path: str | Path, fmt: str = "jsonl") -> tuple[list[AdRecord], list[Reject]]:
@@ -215,7 +233,7 @@ def ingest(path: str | Path, fmt: str = "jsonl") -> tuple[list[AdRecord], list[R
     if not path.exists():
         raise IngestError(f"corpus file not found: {path}")
 
-    rows = _iter_jsonl(path) if fmt == "jsonl" else _iter_csv(path)
+    rows = iter_jsonl_objects(path, "record") if fmt == "jsonl" else _iter_csv(path)
     records: list[AdRecord] = []
     rejects: list[Reject] = []
     seen_ids: set[str] = set()

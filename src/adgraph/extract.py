@@ -12,14 +12,13 @@ with no context heuristics.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import NormalizedAd, Reject
+from .corpus import NormalizedAd, Reject, iter_jsonl_objects
 from .emoji import emoji_class
 
 KINDS = ("phone", "email", "social_handle", "url")
@@ -41,6 +40,8 @@ _ATOM_RE = re.compile(
 )
 _EMAIL_RE = re.compile(r"[A-Za-z0-9._%+\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}")
 _URL_RE = re.compile(r"https?://[^\s<>\"']+", re.IGNORECASE)
+# punctuation that ends a sentence or quote around a URL, not the URL
+_URL_TRAIL = ".,!?;:)’”"
 _PLATFORMS = {
     "snap": "snapchat", "snapchat": "snapchat",
     "insta": "instagram", "instagram": "instagram", "ig": "instagram",
@@ -207,7 +208,7 @@ def _scan_handles(text: str) -> list[Identifier]:
 def _scan_urls(text: str) -> list[Identifier]:
     out = []
     for m in _URL_RE.finditer(text):
-        raw = m.group().rstrip(".,!?;:)’”")
+        raw = m.group().rstrip(_URL_TRAIL)
         if "://" not in raw:
             continue
         out.append(Identifier("url", raw, canonical_url(raw), m.start(), m.start() + len(raw)))
@@ -289,7 +290,7 @@ def _canonicalize_span(
         return Identifier("email", span_text, m.group().lower(), start, end) if m else None
     if label == "url":
         m = _URL_RE.search(span_text)
-        return Identifier("url", span_text, canonical_url(m.group().rstrip(".,!?;:)")), start, end) if m else None
+        return Identifier("url", span_text, canonical_url(m.group().rstrip(_URL_TRAIL)), start, end) if m else None
     if label == "social_handle":
         inner = _scan_handles(span_text)
         if inner:
@@ -320,53 +321,45 @@ def import_annotations(
     """
     out: dict[str, list[Identifier]] = {}
     rejects: list[Reject] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+    for line_no, obj in iter_jsonl_objects(path, "annotation"):
+        if isinstance(obj, Reject):
+            rejects.append(obj)
+            continue
+        ad_id = obj.get("ad_id")
+        if not isinstance(ad_id, str) or ad_id not in corpus:
+            rejects.append(Reject(line_no, f"unknown ad_id {ad_id!r}"))
+            continue
+        spans = obj.get("spans")
+        if not isinstance(spans, list):
+            rejects.append(Reject(line_no, "missing spans list"))
+            continue
+        original = corpus[ad_id].original_text
+        found: list[Identifier] = []
+        for span in spans:
+            if not isinstance(span, dict):
+                rejects.append(Reject(line_no, "span is not an object"))
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                rejects.append(Reject(line_no, "invalid json"))
+            start, end, label = span.get("start"), span.get("end"), span.get("label")
+            if label not in KINDS:
+                rejects.append(Reject(line_no, f"unknown label {label!r}"))
                 continue
-            if not isinstance(obj, dict):
-                rejects.append(Reject(line_no, "annotation is not an object"))
+            if (
+                not isinstance(start, int)
+                or not isinstance(end, int)
+                or isinstance(start, bool)
+                or isinstance(end, bool)
+                or not (0 <= start < end <= len(original))
+            ):
+                rejects.append(Reject(line_no, f"span out of range for {ad_id}"))
                 continue
-            ad_id = obj.get("ad_id")
-            if not isinstance(ad_id, str) or ad_id not in corpus:
-                rejects.append(Reject(line_no, f"unknown ad_id {ad_id!r}"))
+            ident = _canonicalize_span(original, start, end, label)
+            if ident is None:
+                rejects.append(
+                    Reject(line_no, f"span {start}:{end} has no recoverable {label}")
+                )
                 continue
-            spans = obj.get("spans")
-            if not isinstance(spans, list):
-                rejects.append(Reject(line_no, "missing spans list"))
-                continue
-            original = corpus[ad_id].original_text
-            found: list[Identifier] = []
-            for span in spans:
-                if not isinstance(span, dict):
-                    rejects.append(Reject(line_no, "span is not an object"))
-                    continue
-                start, end, label = span.get("start"), span.get("end"), span.get("label")
-                if label not in KINDS:
-                    rejects.append(Reject(line_no, f"unknown label {label!r}"))
-                    continue
-                if (
-                    not isinstance(start, int)
-                    or not isinstance(end, int)
-                    or isinstance(start, bool)
-                    or isinstance(end, bool)
-                    or not (0 <= start < end <= len(original))
-                ):
-                    rejects.append(Reject(line_no, f"span out of range for {ad_id}"))
-                    continue
-                ident = _canonicalize_span(original, start, end, label)
-                if ident is None:
-                    rejects.append(
-                        Reject(line_no, f"span {start}:{end} has no recoverable {label}")
-                    )
-                    continue
-                found.append(ident)
-            if found:
-                out.setdefault(ad_id, [])
-                out[ad_id] = merge_identifiers(out[ad_id], found)
+            found.append(ident)
+        if found:
+            out.setdefault(ad_id, [])
+            out[ad_id] = merge_identifiers(out[ad_id], found)
     return out, rejects

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .dedup import similarity
+from .dedup import similarities
 from .errors import ConfigError, LabelingError
 from .geo import Gazetteer, haversine_miles
 from .graph import RelatednessGraph
@@ -159,7 +159,9 @@ def _sample_pairs(
     A pair's two ads come from one group; counts[k] is group k's number
     of admissible pairs. Small pools are enumerated and shuffled; large
     ones are rejection-sampled, each group drawn in proportion to its
-    count, until the attempt budget runs out.
+    count, until the attempt budget runs out. Candidates are scored in
+    batches, never more than the pairs still wanted, so the pairs kept
+    and the RNG draws are those of scoring one candidate at a time.
     """
     total = sum(counts)
     if total == 0:
@@ -169,6 +171,10 @@ def _sample_pairs(
     want = cfg.pairs_per_class
     out: list[tuple[str, str, float]] = []
 
+    def keep(batch: list[tuple[str, str]]) -> None:
+        sims = similarities([(texts[a], texts[b]) for a, b in batch])
+        out.extend((a, b, sim) for (a, b), sim in zip(batch, sims) if sim < threshold)
+
     if total <= _ENUMERATE_LIMIT:
         candidates = [
             (a, b)
@@ -177,12 +183,11 @@ def _sample_pairs(
             if admissible(a, b)
         ]
         rng.shuffle(candidates)
-        for a, b in candidates:
-            sim = similarity(texts[a], texts[b])
-            if sim < threshold:
-                out.append((a, b, sim))
-                if len(out) == want:
-                    break
+        done = 0
+        while len(out) < want and done < len(candidates):
+            batch = candidates[done : done + want - len(out)]
+            done += len(batch)
+            keep(batch)
         return out
 
     cum = list(itertools.accumulate(counts))
@@ -190,20 +195,21 @@ def _sample_pairs(
     attempts = 0
     budget = max(60 * want, 10_000)
     while len(out) < want and attempts < budget:
-        attempts += 1
-        nodes = groups[bisect.bisect_right(cum, rng.randrange(cum[-1]))]
-        i, j = rng.sample(range(len(nodes)), 2)
-        a, b = nodes[i], nodes[j]
-        if not admissible(a, b):
-            continue
-        if a > b:
-            a, b = b, a
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        sim = similarity(texts[a], texts[b])
-        if sim < threshold:
-            out.append((a, b, sim))
+        batch: list[tuple[str, str]] = []
+        while len(out) + len(batch) < want and attempts < budget:
+            attempts += 1
+            nodes = groups[bisect.bisect_right(cum, rng.randrange(cum[-1]))]
+            i, j = rng.sample(range(len(nodes)), 2)
+            a, b = nodes[i], nodes[j]
+            if not admissible(a, b):
+                continue
+            if a > b:
+                a, b = b, a
+            if (a, b) in seen:
+                continue
+            seen.add((a, b))
+            batch.append((a, b))
+        keep(batch)
     return out
 
 

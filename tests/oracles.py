@@ -7,6 +7,7 @@ enumeration. Slow but obviously correct on small inputs.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -76,6 +77,56 @@ def similarity_ref(a: str, b: str) -> float:
     if not a and not b:
         return 1.0
     return 1.0 - levenshtein_ref(a, b) / max(len(a), len(b))
+
+
+def sample_pairs_ref(groups, counts, admissible, texts, cfg, rng, enumerate_limit):
+    """The pair sampler scoring one candidate at a time with the DP similarity.
+
+    Same draws as label._sample_pairs: small pools are enumerated and
+    shuffled, large ones rejection-sampled, and each candidate is kept
+    as soon as it scores below the cap, until pairs_per_class are kept.
+    """
+    total = sum(counts)
+    if total == 0:
+        return []
+    threshold = cfg.pair_sim_threshold
+    want = cfg.pairs_per_class
+    out = []
+    if total <= enumerate_limit:
+        candidates = [
+            (a, b)
+            for nodes in groups
+            for a, b in itertools.combinations(nodes, 2)
+            if admissible(a, b)
+        ]
+        rng.shuffle(candidates)
+        for a, b in candidates:
+            sim = similarity_ref(texts[a], texts[b])
+            if sim < threshold:
+                out.append((a, b, sim))
+                if len(out) == want:
+                    break
+        return out
+    cum = list(itertools.accumulate(counts))
+    seen = set()
+    attempts = 0
+    budget = max(60 * want, 10_000)
+    while len(out) < want and attempts < budget:
+        attempts += 1
+        nodes = groups[bisect.bisect_right(cum, rng.randrange(cum[-1]))]
+        i, j = rng.sample(range(len(nodes)), 2)
+        a, b = nodes[i], nodes[j]
+        if not admissible(a, b):
+            continue
+        if a > b:
+            a, b = b, a
+        if (a, b) in seen:
+            continue
+        seen.add((a, b))
+        sim = similarity_ref(texts[a], texts[b])
+        if sim < threshold:
+            out.append((a, b, sim))
+    return out
 
 
 def jaccard_shingles_ref(a: str, b: str, k: int = 5) -> float:

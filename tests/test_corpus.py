@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from adgraph import corpus
 from adgraph.analysis import WilcoxonResult
+from adgraph.cli import main
 from adgraph.dedup import DuplicateCluster
 from adgraph.errors import EmptyCorpusError, IngestError, PipelineError
 from adgraph.extract import Identifier
@@ -153,6 +154,25 @@ class TestIngestJsonl:
         with pytest.raises(IngestError):
             corpus.ingest(tmp_path / "nope.jsonl", "jsonl")
 
+    def test_invalid_utf8_line_is_a_reject_and_the_rest_is_kept(self, tmp_path):
+        def row(ad_id):
+            return json.dumps(corpus_row(ad_id, description="caf\u00e9"), ensure_ascii=False)
+
+        path = tmp_path / "c.jsonl"
+        lines = [
+            row("a1").encode("utf-8"),
+            b"",
+            row("a2").encode("latin-1"),  # a lone \xe9 is not UTF-8
+            row("a3").encode("utf-8"),
+            b"\xff\xfe",
+            row("a4").encode("utf-8"),
+        ]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        records, rejects = corpus.ingest(path, "jsonl")
+        assert [r.ad_id for r in records] == ["a1", "a3", "a4"]
+        assert records[0].description == "caf\u00e9"
+        assert rejects == [corpus.Reject(3, "invalid utf-8"), corpus.Reject(5, "invalid utf-8")]
+
 
 class TestIngestCsv:
     HEADER = "ad_id,title,description,posted_at,locations,declared_phone,source"
@@ -173,6 +193,23 @@ class TestIngestCsv:
         path.write_text("id,text\n1,x\n")
         with pytest.raises(IngestError):
             corpus.ingest(path, "csv")
+
+    def test_invalid_utf8_raises_naming_the_file(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(
+            (self.HEADER + "\n").encode()
+            + "b1,Hi,caf\u00e9,2024-01-01T00:00:00Z,,,site_b\n".encode("latin-1")
+        )
+        with pytest.raises(IngestError, match="c.csv: not valid utf-8"):
+            corpus.ingest(path, "csv")
+
+    def test_invalid_utf8_csv_is_one_cli_error(self, tmp_path, caplog):
+        path = tmp_path / "c.csv"
+        path.write_bytes((self.HEADER + "\n").encode() + b"b1,Hi,caf\xe9,2024-01-01T00:00:00Z,,,s\n")
+        argv = ["ingest", "--workdir", str(tmp_path / "w"), "--corpus", str(path), "--format", "csv"]
+        assert main(argv) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "not valid utf-8" in errors[0].getMessage()
 
     def test_row_width_mismatch_rejected(self, tmp_path):
         path = tmp_path / "c.csv"

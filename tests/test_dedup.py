@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,97 @@ class TestLevenshtein:
                 b[i] = rng.choice("abcdefg h")
             b = "".join(b)
             assert dedup.levenshtein(a, b) == levenshtein_ref(a, b)
+
+
+def _no_shared_ends(rng, alphabet, n):
+    """A text of n chars (n >= 2) that starts and ends with 'x', which
+    the alphabet lacks, so it shares no end with a text of that alphabet."""
+    return "x" + "".join(rng.choice(alphabet) for _ in range(n - 2)) + "x"
+
+
+_ANY_TEXT = st.one_of(
+    st.text(alphabet="ab ", max_size=150),
+    st.text(alphabet="abcdefgh", min_size=60, max_size=140),
+    st.text(max_size=30),  # any code point, astral ones included
+    st.text(alphabet="a\U0001F600\U00010348b", max_size=80),
+)
+
+
+@st.composite
+def _pair(draw):
+    a = draw(_ANY_TEXT)
+    kind = draw(st.sampled_from(["independent", "equal", "edited", "empty"]))
+    if kind == "independent":
+        return a, draw(_ANY_TEXT)
+    if kind == "equal":
+        return a, a
+    if kind == "empty":
+        return draw(st.sampled_from([(a, ""), ("", a)]))
+    i = draw(st.integers(0, len(a)))
+    return a, a[:i] + draw(st.text(alphabet="abz\U0001F600", max_size=5)) + a[i + 1 :]
+
+
+class TestLevenshteinMany:
+    @given(st.lists(_pair(), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, pairs):
+        assert dedup.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
+
+    @given(st.lists(_pair(), min_size=4, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_many_blocks_keep_input_order(self, pairs):
+        with mock.patch.object(dedup, "_BLOCK", 3):
+            got = dedup.levenshtein_many(pairs)
+        assert got == [levenshtein_ref(a, b) for a, b in pairs]
+
+    def test_more_pairs_than_one_block(self):
+        rng = random.Random(5)
+        pairs = []
+        for _ in range(dedup._BLOCK + 90):
+            a = "".join(rng.choice("abcd ") for _ in range(rng.randint(0, 40)))
+            b = "".join(rng.choice("abcd ") for _ in range(rng.randint(0, 40)))
+            pairs.append((a, b))
+        assert dedup.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129])
+    def test_patterns_at_word_boundaries(self, m):
+        rng = random.Random(m)
+        pairs = []
+        for extra in (0, 1, 7, 70):
+            pattern = _no_shared_ends(rng, "abc", m)
+            text = "".join(rng.choice("abc") for _ in range(m + extra))
+            pairs += [(pattern, text), (text, pattern)]
+        pairs.append((_no_shared_ends(rng, "abc", m), "ab"))
+        assert dedup.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
+
+    CARRIES = [
+        # long runs of matches: the addition carries through whole words
+        *[("b" + "a" * k + "b", "c" + "a" * (k + 1) + "c") for k in (62, 63, 64, 65, 127, 128, 191)],
+        *[("a" * k + "b", "a" * (k + 1)) for k in (63, 64, 65, 128)],
+        # nothing matches: no carries, every column a mismatch
+        *[("x" * k, "y" * k) for k in (64, 65, 129)],
+        ("x" * 130, "y" * 260),
+        # a carry out of a word of matches meets a word of all ones,
+        # which it must ripple through into the word above
+        ("a" * 64 + "b" * 64 + "z", "c" + "a" * 100 + "y"),
+        ("a" * 64 + "b" * 128 + "z", "c" + "a" * 100 + "b" * 40 + "y"),
+        ("a" * 64 + "b" * 128 + "z", "c" + "a" * 70 + "d" + "a" * 70 + "y"),
+    ]
+
+    def test_pinned_carry_cases(self):
+        pairs = self.CARRIES + [(b, a) for a, b in self.CARRIES]
+        assert dedup.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
+
+    def test_empty_batch(self):
+        assert dedup.levenshtein_many([]) == []
+        assert dedup.similarities([]) == []
+
+    @given(st.lists(_pair(), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_similarities_match_reference(self, pairs):
+        got = dedup.similarities(pairs)
+        assert got == [similarity_ref(a, b) for a, b in pairs]
+        assert got == [dedup.similarity(a, b) for a, b in pairs]
 
 
 class TestSimilarity:

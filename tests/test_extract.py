@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adgraph import extract
-from adgraph.corpus import NormalizedAd
+from adgraph.corpus import NormalizedAd, Reject
 
 from conftest import make_norm
 from oracles import atoms_ref, is_emoji_ref
@@ -344,6 +344,34 @@ class TestImportAnnotations:
         assert "unknown label 'face'" in reasons
         assert "span out of range" in reasons
         assert "no recoverable phone" in reasons
+
+    def test_invalid_utf8_line_is_a_reject_and_the_rest_is_kept(self, tmp_path):
+        norm = make_norm("a1", "mail foo@example.net or bar@example.org")
+        text = norm.original_text
+
+        def line(word):
+            s = text.index(word)
+            span = {"start": s, "end": s + len(word), "label": "email"}
+            return json.dumps({"ad_id": "a1", "spans": [span], "note": "caf\u00e9"}, ensure_ascii=False)
+
+        path = tmp_path / "ann.jsonl"
+        lines = [line("foo@example.net").encode("utf-8"), line("foo@example.net").encode("latin-1")]
+        path.write_bytes(b"\n".join([*lines, line("bar@example.org").encode("utf-8")]) + b"\n")
+        found, rejects = extract.import_annotations(path, {"a1": norm})
+        assert rejects == [Reject(2, "invalid utf-8")]
+        assert [i.canonical for i in found["a1"]] == ["bar@example.org", "foo@example.net"]
+
+    def test_url_span_over_a_closing_quote_adds_no_second_url(self, tmp_path):
+        norm = make_norm("a1", "visit https://example.com/page\u201d today")
+        text = norm.original_text
+        s = text.index("https")
+        end = text.index("\u201d") + 1  # the span covers the closing quote
+        path = self._write(tmp_path, [{"ad_id": "a1", "spans": [{"start": s, "end": end, "label": "url"}]}])
+        found, rejects = extract.import_annotations(path, {"a1": norm})
+        assert rejects == []
+        assert [i.canonical for i in found["a1"]] == ["https://example.com/page"]
+        merged = extract.merge_identifiers(extract.extract_identifiers(None, norm), found["a1"])
+        assert [i.canonical for i in merged if i.kind == "url"] == ["https://example.com/page"]
 
     def test_annotation_merges_with_span_priority(self, tmp_path):
         norm = make_norm("a1", "digits 555 123 0147 here")

@@ -9,6 +9,8 @@ from adgraph.extract import Identifier
 from adgraph.geo import Gazetteer
 from adgraph.graph import build_graph
 
+from oracles import sample_pairs_ref
+
 # frozen oracle distances between bundled gazetteer cities
 CHI_CLE_MILES = 307.3020  # fires the default 300-mile rule
 CHI_CIN_MILES = 252.1557  # does not
@@ -273,6 +275,48 @@ class TestOadPairs:
         for p in pairs:
             if p.label == 1:
                 assert p.a not in giant and p.b not in giant
+
+
+class TestBatchedSampler:
+    """_sample_pairs scores candidates in batches; the pairs it keeps, their
+    order and their floats are those of scoring one candidate at a time."""
+
+    GROUPS = TestOadPairs.GROUPS + [["g%d" % i for i in range(9)]]
+
+    def _both(self, limit, seed, per_class, threshold, monkeypatch):
+        monkeypatch.setattr(label, "_ENUMERATE_LIMIT", limit)
+        graph = make_graph(self.GROUPS)
+        texts = random_texts(graph, seed=seed)
+        # near copies, so the cap rejects some same-group candidates
+        texts["a2"] = texts["a1"][:-1] + "z"
+        texts["g1"] = texts["g0"]
+        c = cfg(pairs_per_class=per_class, seed=seed, pair_sim_threshold=threshold)
+        comp_of = graph.component_of
+        nodes = sorted(graph.nodes)
+        cases = [
+            ([sorted(m) for m in self.GROUPS], [len(m) * (len(m) - 1) // 2 for m in self.GROUPS], lambda a, b: True),
+            ([nodes], [len(nodes) * (len(nodes) - 1) // 2], lambda a, b: comp_of[a] != comp_of[b]),
+        ]
+        for groups, counts, admissible in cases:
+            got = label._sample_pairs(groups, counts, admissible, texts, c, random.Random(seed))
+            want = sample_pairs_ref(groups, counts, admissible, texts, c, random.Random(seed), limit)
+            yield got, want
+
+    @pytest.mark.parametrize("limit", [200_000, 1], ids=["enumerate", "rejection"])
+    @pytest.mark.parametrize("threshold", [0.075, 0.5])
+    @pytest.mark.parametrize("per_class", [1, 5, 8, 30])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_pairs_as_one_at_a_time(self, limit, threshold, per_class, seed, monkeypatch):
+        for got, want in self._both(limit, seed, per_class, threshold, monkeypatch):
+            assert got == want
+            assert len(got) <= per_class
+
+    @pytest.mark.parametrize("limit", [200_000, 1], ids=["enumerate", "rejection"])
+    def test_exhausted_pool_same_as_one_at_a_time(self, limit, monkeypatch):
+        # 60 same-group pairs exist, fewer pass the cap, and 200 are wanted
+        (positives, want_pos), (negatives, want_neg) = self._both(limit, 4, 200, 0.075, monkeypatch)
+        assert positives == want_pos and negatives == want_neg
+        assert 0 < len(positives) < 60
 
 
 class TestHtrpFeatures:
