@@ -88,18 +88,18 @@ def _apply_override(cfg: dict, expr: str) -> None:
     if "=" not in expr:
         raise ConfigError(f"override must look like key=value, got {expr!r}")
     dotted, raw = expr.split("=", 1)
-    keys = dotted.strip().split(".")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node: dict = {}
-    leaf = node
-    for key in keys[:-1]:
-        leaf[key] = {}
-        leaf = leaf[key]
-    leaf[keys[-1]] = value
-    _merge(cfg, node)
+    _set_dotted(cfg, dotted.strip(), value)
+
+
+def _set_dotted(cfg: dict, dotted: str, value: Any) -> None:
+    """Merge value into cfg at a dotted key, checked as a config file is."""
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    _merge(cfg, value)
 
 
 def config_hash(cfg_dict: dict, keys: Iterable[str]) -> str:
@@ -240,14 +240,7 @@ def load_config(
         _apply_override(cfg, expr)
     for dotted, value in (cli_values or {}).items():
         if value is not None:
-            node: dict = {}
-            leaf = node
-            keys = dotted.split(".")
-            for key in keys[:-1]:
-                leaf[key] = {}
-                leaf = leaf[key]
-            leaf[keys[-1]] = value
-            _merge(cfg, node)
+            _set_dotted(cfg, dotted, value)
     out = PipelineConfig(cfg)
     out.validate()
     return out

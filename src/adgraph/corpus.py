@@ -55,11 +55,10 @@ class AdRecord:
 
 @dataclass
 class NormalizedAd:
-    """Normalized view of one ad; original_text keeps the raw concatenation."""
+    """Normalized view of one ad's original text (see build_original_text)."""
 
     ad_id: str
     norm_text: str
-    original_text: str
     emoji_count: int
 
 
@@ -110,14 +109,8 @@ def normalize_text(text: str) -> str:
 
 def normalize(record: AdRecord) -> NormalizedAd:
     """Build the normalized view of one record."""
-    original = build_original_text(record.title, record.description)
-    norm = normalize_text(original)
-    return NormalizedAd(
-        ad_id=record.ad_id,
-        norm_text=norm,
-        original_text=original,
-        emoji_count=count_emoji(norm),
-    )
+    norm = normalize_text(build_original_text(record.title, record.description))
+    return NormalizedAd(ad_id=record.ad_id, norm_text=norm, emoji_count=count_emoji(norm))
 
 
 def _validate_fields(obj: dict, line: int, seen_ids: set[str]) -> AdRecord | Reject:
@@ -168,22 +161,26 @@ def _validate_fields(obj: dict, line: int, seen_ids: set[str]) -> AdRecord | Rej
     )
 
 
-# read with errors="surrogateescape", a byte that is not valid UTF-8
-# becomes one of these lone surrogates, which valid UTF-8 never decodes to
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
+# no UTF-8 artifact can hold a lone surrogate. Read with
+# errors="surrogateescape", each byte that is not valid UTF-8 becomes one,
+# and json.loads turns an escaped one ("\udc80") into one, though it joins
+# an escaped pair into a single character
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def iter_jsonl_objects(path: str | Path, noun: str) -> Iterator[tuple[int, dict | Reject]]:
     """Each non-blank line's number and JSON object, or a Reject saying why not.
 
-    A line that is not valid UTF-8, not JSON, or not an object is a
-    reject; the lines around it are read as usual.
+    A line that is not valid UTF-8, not JSON, not an object, or that
+    escapes a lone surrogate is a reject; the lines around it are read as
+    usual.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            if not line.isascii() and _UNDECODABLE.search(line):
+            if not line.isascii() and _SURROGATE.search(line):
                 yield line_no, Reject(line_no, "invalid utf-8")
                 continue
             try:
@@ -193,6 +190,9 @@ def iter_jsonl_objects(path: str | Path, noun: str) -> Iterator[tuple[int, dict 
                 continue
             if not isinstance(obj, dict):
                 yield line_no, Reject(line_no, f"{noun} is not an object")
+                continue
+            if _SURROGATE_ESCAPE.search(line) and _SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
+                yield line_no, Reject(line_no, "invalid unicode (lone surrogate escape)")
                 continue
             yield line_no, obj
 

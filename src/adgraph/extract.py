@@ -18,7 +18,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import NormalizedAd, Reject, iter_jsonl_objects
+from .corpus import Reject, iter_jsonl_objects
 from .emoji import emoji_class
 
 KINDS = ("phone", "email", "social_handle", "url")
@@ -48,9 +48,9 @@ _PLATFORMS = {
     "telegram": "telegram", "tg": "telegram",
     "whatsapp": "whatsapp",
 }
+_PLATFORM_RE = r"\b(%s)\b" % "|".join(sorted(_PLATFORMS, key=lambda w: (-len(w), w)))
 _HANDLE_RE = re.compile(
-    r"\b(snapchat|snap|instagram|insta|ig|telegram|tg|whatsapp)\b"
-    r"(?=[\s:.\-–—@]{0,4}([A-Za-z0-9_][A-Za-z0-9_.\-]{1,30}))",
+    _PLATFORM_RE + r"(?=[\s:.\-–—@]{0,4}([A-Za-z0-9_][A-Za-z0-9_.\-]{1,30}))",
     re.IGNORECASE,
 )
 _HANDLE_TOKEN_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]{1,30}$")
@@ -58,7 +58,7 @@ _HANDLE_TOKEN_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]{1,30}$")
 
 @dataclass(frozen=True)
 class Identifier:
-    """One extracted identifier; start/end index original_text when known."""
+    """One extracted identifier; start/end index the original text when known."""
 
     kind: str
     raw: str
@@ -167,8 +167,7 @@ def canonical_phone(digits: str) -> str | None:
 
 
 def canonical_url(raw: str) -> str:
-    rest = raw
-    m = re.match(r"(?i)(https?)://([^/?#]*)(.*)", rest, re.DOTALL)
+    m = re.match(r"(?i)(https?)://([^/?#]*)(.*)", raw, re.DOTALL)
     if not m:
         return raw.lower()
     scheme, netloc, tail = m.groups()
@@ -231,41 +230,44 @@ def merge_identifiers(*groups: Iterable[Identifier]) -> list[Identifier]:
     return sorted(chosen.values(), key=lambda x: (x.kind, x.canonical))
 
 
-def extract_identifiers(declared_phone: str | None, normalized: NormalizedAd) -> list[Identifier]:
+def _phones(text: str) -> list[str]:
+    """Canonical phones recovered from text, else its digits as one phone."""
+    found = [c for c in (canonical_phone(d) for d, _ in deobfuscate_phone(text)) if c is not None]
+    if not found:
+        canonical = canonical_phone(re.sub(r"[^0-9]", "", text))
+        if canonical is not None:
+            found = [canonical]
+    return found
+
+
+def extract_identifiers(
+    declared_phone: str | None, original_text: str, norm_text: str
+) -> list[Identifier]:
     """Rule-based identifiers for one ad.
 
-    Scans original_text (spans reported), then norm_text for anything
-    only normalization reveals, i.e. that no original-pass identifier of
-    its kind matches up to case (span recovered by exact substring match
-    when possible), then the declared phone field (never carries a span).
+    Scans original_text (spans reported), then norm_text, its normalized
+    form, for anything only normalization reveals, i.e. that no
+    original-pass identifier of its kind matches up to case (span
+    recovered by exact substring match when possible), then the declared
+    phone field (never carries a span).
     """
-    original_pass = _scan_text(normalized.original_text)
+    original_pass = _scan_text(original_text)
 
     # casefolding can change what a scanner reads (a url path is
     # case-sensitive), so a norm-pass identifier that an original-pass one
     # of its kind matches up to case is that identifier, not a second one
     found = {(ident.kind, ident.canonical.casefold()) for ident in original_pass}
     norm_pass = []
-    for ident in _scan_text(normalized.norm_text):
+    for ident in _scan_text(norm_text):
         if (ident.kind, ident.canonical.casefold()) in found:
             continue
-        idx = normalized.original_text.find(ident.raw)
-        if idx >= 0:
-            norm_pass.append(Identifier(ident.kind, ident.raw, ident.canonical, idx, idx + len(ident.raw)))
-        else:
-            norm_pass.append(Identifier(ident.kind, ident.raw, ident.canonical, None, None))
+        idx = original_text.find(ident.raw)
+        span = (idx, idx + len(ident.raw)) if idx >= 0 else (None, None)
+        norm_pass.append(Identifier(ident.kind, ident.raw, ident.canonical, *span))
 
     declared_pass = []
-    declared = declared_phone
-    if declared:
-        found = [canonical_phone(d) for d, _ in deobfuscate_phone(declared)]
-        found = [c for c in found if c is not None]
-        if not found:
-            stripped = re.sub(r"[^0-9]", "", declared)
-            canonical = canonical_phone(stripped)
-            if canonical is not None:
-                found = [canonical]
-        declared_pass = [Identifier("phone", declared, c) for c in found]
+    if declared_phone:
+        declared_pass = [Identifier("phone", declared_phone, c) for c in _phones(declared_phone)]
 
     return merge_identifiers(original_pass, norm_pass, declared_pass)
 
@@ -275,16 +277,8 @@ def _canonicalize_span(
 ) -> Identifier | None:
     span_text = original_text[start:end]
     if label == "phone":
-        recovered = deobfuscate_phone(span_text)
-        for digits, _ in recovered:
-            canonical = canonical_phone(digits)
-            if canonical is not None:
-                return Identifier("phone", span_text, canonical, start, end)
-        stripped = re.sub(r"[^0-9]", "", span_text)
-        canonical = canonical_phone(stripped)
-        if canonical is not None:
-            return Identifier("phone", span_text, canonical, start, end)
-        return None
+        phones = _phones(span_text)
+        return Identifier("phone", span_text, phones[0], start, end) if phones else None
     if label == "email":
         m = _EMAIL_RE.search(span_text)
         return Identifier("email", span_text, m.group().lower(), start, end) if m else None
@@ -302,7 +296,7 @@ def _canonicalize_span(
         # platform keyword is often just before the span, not inside it
         window = original_text[max(0, start - 24) : start]
         platform = None
-        for m in re.finditer(r"\b(snapchat|snap|instagram|insta|ig|telegram|tg|whatsapp)\b", window, re.IGNORECASE):
+        for m in re.finditer(_PLATFORM_RE, window, re.IGNORECASE):
             platform = _PLATFORMS[m.group(1).lower()]
         if platform is None:
             return None
@@ -311,9 +305,9 @@ def _canonicalize_span(
 
 
 def import_annotations(
-    path: str | Path, corpus: Mapping[str, NormalizedAd]
+    path: str | Path, original_texts: Mapping[str, str]
 ) -> tuple[dict[str, list[Identifier]], list[Reject]]:
-    """Read span annotations (JSONL) and canonicalize them against the corpus.
+    """Read span annotations (JSONL) and canonicalize them against the ads' original texts.
 
     Each line holds {"ad_id": ..., "spans": [{"start", "end", "label"}]}.
     Unknown ads, malformed spans, and spans that cannot be canonicalized
@@ -326,14 +320,14 @@ def import_annotations(
             rejects.append(obj)
             continue
         ad_id = obj.get("ad_id")
-        if not isinstance(ad_id, str) or ad_id not in corpus:
+        if not isinstance(ad_id, str) or ad_id not in original_texts:
             rejects.append(Reject(line_no, f"unknown ad_id {ad_id!r}"))
             continue
         spans = obj.get("spans")
         if not isinstance(spans, list):
             rejects.append(Reject(line_no, "missing spans list"))
             continue
-        original = corpus[ad_id].original_text
+        original = original_texts[ad_id]
         found: list[Identifier] = []
         for span in spans:
             if not isinstance(span, dict):

@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 from . import __version__, corpus, dedup, extract, synth
 from .analysis import compare_label_variants
@@ -82,59 +82,66 @@ def _pmap(fn: Callable, items: list, threads: int) -> list:
         return list(ex.map(fn, items, chunksize=chunk))
 
 
-def _extract_worker(args: tuple[str | None, corpus.NormalizedAd]) -> list[Identifier]:
-    declared, norm = args
-    return extract.extract_identifiers(declared, norm)
+def _extract_worker(key: tuple[str | None, str, str]) -> list[Identifier]:
+    return extract.extract_identifiers(*key)
+
+
+def _rows(cls: type) -> Callable[[Path], list]:
+    return lambda path: [from_row(cls, row) for row in corpus.read_jsonl(path)]
+
+
+def _identifiers_by_ad(path: Path) -> dict[str, list[Identifier]]:
+    out: dict[str, list[Identifier]] = {}
+    for row in corpus.read_jsonl(path):
+        ad_id = row.pop("ad_id")
+        out.setdefault(ad_id, []).append(from_row(Identifier, row))
+    return out
+
+
+def _split_assignment(path: Path) -> dict[int, str]:
+    data = json.loads(path.read_text(encoding="utf-8"))
+    return {int(cid): side for cid, side in data["components"].items()}
+
+
+# how each artifact a stage reads is parsed; readers are looked up when
+# called, so a wrapper installed on the module function sees every read
+PARSERS: dict[str, Callable[[Path], object]] = {
+    "records": _rows(corpus.AdRecord),
+    "normalized": _rows(corpus.NormalizedAd),
+    "clusters": _rows(dedup.DuplicateCluster),
+    "identifiers": _identifiers_by_ad,
+    "graph": lambda path: read_graph_json(path),
+    "split": _split_assignment,
+    "htrp_labels": _rows(LabeledAd),
+}
 
 
 class StageContext:
-    """Workdir paths plus lazily cached artifact readers."""
+    """Workdir paths plus each input artifact, parsed once.
+
+    A parse is cached under the sha256 that `_check_inputs` computed for
+    the file, so a context shared by the stages of `run_all` parses each
+    artifact once and never serves a parse of bytes other than those the
+    manifests record. Stages must not mutate what `read` returns.
+    """
 
     def __init__(self, cfg: PipelineConfig, force: bool = False):
         self.cfg = cfg
         self.workdir = cfg.workdir
         self.force = force
-        self.threads = cfg.threads
-        self._cache: dict[str, object] = {}
+        # the running stage's input hashes, set by run_stage
+        self.inputs: dict[str, str] = {}
+        self.parsed: dict[tuple[str, str], object] = {}  # (artifact, sha256) -> parse
 
     def path(self, artifact: str) -> Path:
         return self.workdir / ARTIFACTS[artifact]
 
-    def records(self) -> list[corpus.AdRecord]:
-        if "records" not in self._cache:
-            rows = corpus.read_jsonl(self.path("records"))
-            self._cache["records"] = [from_row(corpus.AdRecord, r) for r in rows]
-        return self._cache["records"]
-
-    def records_by_id(self) -> dict[str, corpus.AdRecord]:
-        return {r.ad_id: r for r in self.records()}
-
-    def normalized(self) -> list[corpus.NormalizedAd]:
-        if "normalized" not in self._cache:
-            rows = corpus.read_jsonl(self.path("normalized"))
-            self._cache["normalized"] = [from_row(corpus.NormalizedAd, r) for r in rows]
-        return self._cache["normalized"]
-
-    def clusters(self) -> list[dedup.DuplicateCluster]:
-        rows = corpus.read_jsonl(self.path("clusters"))
-        return [from_row(dedup.DuplicateCluster, r) for r in rows]
-
-    def identifiers_by_ad(self) -> dict[str, list[Identifier]]:
-        out: dict[str, list[Identifier]] = {}
-        for row in corpus.read_jsonl(self.path("identifiers")):
-            ad_id = row.pop("ad_id")
-            out.setdefault(ad_id, []).append(from_row(Identifier, row))
-        return out
-
-    def graph(self) -> RelatednessGraph:
-        if "graph" not in self._cache:
-            self._cache["graph"] = read_graph_json(self.path("graph"))
-        return self._cache["graph"]
-
-    def split_assignment(self) -> dict[int, str]:
-        with open(self.path("split"), encoding="utf-8") as fh:
-            data = json.load(fh)
-        return {int(cid): side for cid, side in data["components"].items()}
+    def read(self, artifact: str):
+        """The parsed artifact; it must be one of the running stage's inputs."""
+        key = (artifact, self.inputs[artifact])
+        if key not in self.parsed:
+            self.parsed[key] = PARSERS[artifact](self.path(artifact))
+        return self.parsed[key]
 
     def write_json(self, artifact: str, obj: dict) -> None:
         with atomic_open(self.path(artifact)) as fh:
@@ -165,7 +172,7 @@ def _run_synth(ctx: StageContext) -> None:
 def _run_ingest(ctx: StageContext) -> None:
     path = _resolve_corpus(ctx.cfg)
     records, rejects = corpus.ingest(path, ctx.cfg.corpus_format)
-    normalized = _pmap(corpus.normalize, records, ctx.threads)
+    normalized = _pmap(corpus.normalize, records, ctx.cfg.threads)
     corpus.write_jsonl(ctx.path("records"), map(to_row, records))
     corpus.write_jsonl(ctx.path("rejects"), map(to_row, rejects))
     corpus.write_jsonl(ctx.path("normalized"), map(to_row, normalized))
@@ -173,31 +180,30 @@ def _run_ingest(ctx: StageContext) -> None:
 
 
 def _run_dedup(ctx: StageContext) -> None:
-    posted = {r.ad_id: r.posted_at for r in ctx.records()}
-    clusters = dedup.deduplicate(ctx.normalized(), ctx.cfg.similarity(), posted)
+    posted = {r.ad_id: r.posted_at for r in ctx.read("records")}
+    clusters = dedup.deduplicate(ctx.read("normalized"), ctx.cfg.similarity(), posted)
     corpus.write_jsonl(ctx.path("clusters"), map(to_row, clusters))
     near = sum(1 for c in clusters if c.method == "near")
     log.info("%d clusters (%d near-duplicate)", len(clusters), near)
 
 
 def _run_extract(ctx: StageContext) -> None:
-    records = ctx.records()
-    norm_by_id = {n.ad_id: n for n in ctx.normalized()}
-    # a key holds everything extract_identifiers reads, so reposts share
-    # one call and one (never mutated) identifier list
-    keys = []
-    args: dict[tuple, tuple[str | None, corpus.NormalizedAd]] = {}
-    for r in records:
-        norm = norm_by_id[r.ad_id]
-        keys.append((r.declared_phone, norm.original_text, norm.norm_text))
-        args.setdefault(keys[-1], (r.declared_phone, norm))
-    found = dict(zip(args, _pmap(_extract_worker, list(args.values()), ctx.threads)))
+    records = ctx.read("records")
+    norm_text = {n.ad_id: n.norm_text for n in ctx.read("normalized")}
+    # a key is extract_identifiers' arguments, so reposts share one call
+    # and one (never mutated) identifier list
+    keys = [
+        (r.declared_phone, corpus.build_original_text(r.title, r.description), norm_text[r.ad_id])
+        for r in records
+    ]
+    distinct = list(dict.fromkeys(keys))
+    found = dict(zip(distinct, _pmap(_extract_worker, distinct, ctx.cfg.threads)))
     ids_by_ad = {r.ad_id: found[key] for r, key in zip(records, keys)}
 
     ann_rejects: list = []
     if ctx.cfg.annotations_path is not None:
         annotated, ann_rejects = extract.import_annotations(
-            ctx.cfg.annotations_path, norm_by_id
+            ctx.cfg.annotations_path, {r.ad_id: key[1] for r, key in zip(records, keys)}
         )
         for ad_id, idents in annotated.items():
             ids_by_ad[ad_id] = extract.merge_identifiers(
@@ -214,10 +220,10 @@ def _run_extract(ctx: StageContext) -> None:
 
 
 def _run_graph(ctx: StageContext) -> None:
-    locations = {r.ad_id: r.locations for r in ctx.records()}
+    locations = {r.ad_id: r.locations for r in ctx.read("records")}
     graph = build_graph(
-        ctx.clusters(),
-        ctx.identifiers_by_ad(),
+        ctx.read("clusters"),
+        ctx.read("identifiers"),
         locations,
         quarantine_cap=ctx.cfg.quarantine_cap,
     )
@@ -231,11 +237,11 @@ def _run_graph(ctx: StageContext) -> None:
 
 
 def _run_stats(ctx: StageContext) -> None:
-    stats_to_csv(component_stats(ctx.graph()), ctx.path("stats"))
+    stats_to_csv(component_stats(ctx.read("graph")), ctx.path("stats"))
 
 
 def _run_split(ctx: StageContext) -> None:
-    graph = ctx.graph()
+    graph = ctx.read("graph")
     cfg = ctx.cfg.labeling()
     assignment = split_components(graph, cfg)
     report = split_report(graph, assignment, cfg)
@@ -250,15 +256,15 @@ def _run_split(ctx: StageContext) -> None:
 
 
 def _run_label_oad(ctx: StageContext) -> None:
-    graph = ctx.graph()
-    texts = {n.ad_id: n.norm_text for n in ctx.normalized() if n.ad_id in graph.component_of}
-    pairs = generate_oad_pairs(graph, texts, ctx.cfg.labeling(), ctx.split_assignment())
+    graph = ctx.read("graph")
+    texts = {n.ad_id: n.norm_text for n in ctx.read("normalized") if n.ad_id in graph.component_of}
+    pairs = generate_oad_pairs(graph, texts, ctx.cfg.labeling(), ctx.read("split"))
     corpus.write_jsonl(ctx.path("oad_pairs"), map(to_row, pairs))
     log.info("%d labeled pairs", len(pairs))
 
 
 def _run_label_htrp(ctx: StageContext) -> None:
-    labels = label_htrp(ctx.graph(), ctx.cfg.gazetteer(), ctx.cfg.labeling())
+    labels = label_htrp(ctx.read("graph"), ctx.cfg.gazetteer(), ctx.cfg.labeling())
     corpus.write_jsonl(ctx.path("htrp_labels"), map(to_row, labels))
     pos = sum(a.label for a in labels)
     log.info("%d ads labeled, %d positive", len(labels), pos)
@@ -274,7 +280,7 @@ def _strata_map(ctx: StageContext, graph: RelatednessGraph) -> dict[str, str]:
             )
             out[node] = locs[0] if locs else "(none)"
     else:
-        by_id = ctx.records_by_id()
+        by_id = {r.ad_id: r for r in ctx.read("records")}
         for node in graph.nodes:
             rec = by_id.get(node)
             out[node] = rec.source if rec and rec.source else "(none)"
@@ -282,8 +288,8 @@ def _strata_map(ctx: StageContext, graph: RelatednessGraph) -> dict[str, str]:
 
 
 def _run_compare(ctx: StageContext) -> None:
-    graph = ctx.graph()
-    baseline = [from_row(LabeledAd, r) for r in corpus.read_jsonl(ctx.path("htrp_labels"))]
+    graph = ctx.read("graph")
+    baseline = ctx.read("htrp_labels")
     variant = label_htrp(graph, ctx.cfg.gazetteer(), ctx.cfg.labeling(variant=True))
     corpus.write_jsonl(ctx.path("htrp_variant_labels"), map(to_row, variant))
     report = compare_label_variants(baseline, variant, _strata_map(ctx, graph))
@@ -291,7 +297,7 @@ def _run_compare(ctx: StageContext) -> None:
 
 
 def _run_export(ctx: StageContext) -> None:
-    graph = ctx.graph()
+    graph = ctx.read("graph")
     comp = ctx.cfg.export_component
     wanted = _export_outputs(ctx.cfg)
     for fmt, export in (("graphml", export_graphml), ("dot", export_dot)):
@@ -423,8 +429,6 @@ def manifest_path(workdir: Path, stage: str) -> Path:
 
 
 def _read_manifest(path: Path) -> dict | None:
-    if not path.exists():
-        return None
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, OSError):
@@ -493,11 +497,14 @@ def _is_fresh(stage: StageDef, ctx: StageContext, input_hashes: dict[str, str]) 
     return True
 
 
-def run_stage(name: str, cfg: PipelineConfig, force: bool = False) -> dict:
+def run_stage(
+    name: str, cfg: PipelineConfig, force: bool = False, ctx: StageContext | None = None
+) -> dict:
+    """Run one stage unless it is up to date, in run_all's context or its own."""
     if name not in STAGES:
         raise PipelineError(f"unknown stage: {name}")
     stage = STAGES[name]
-    ctx = StageContext(cfg, force=force)
+    ctx = ctx or StageContext(cfg, force=force)
     ctx.workdir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
@@ -506,6 +513,7 @@ def run_stage(name: str, cfg: PipelineConfig, force: bool = False) -> dict:
         log.info("[%s] up to date, skipping", name)
         return {"stage": name, "seconds": time.perf_counter() - start, "ran": False}
 
+    ctx.inputs = input_hashes
     stage.fn(ctx)
 
     outputs = {}
@@ -533,8 +541,9 @@ def run_stage(name: str, cfg: PipelineConfig, force: bool = False) -> dict:
 
 
 def run_all(cfg: PipelineConfig, force: bool = False) -> list[dict]:
+    ctx = StageContext(cfg, force=force)
     results = []
-    for name in ALL_CHAIN:
+    for i, name in enumerate(ALL_CHAIN):
         if name in ("compare", "export") and not cfg.stage_enabled(name):
             # an earlier run's outputs would outlive the graph they describe
             for art in STAGES[name].outputs:
@@ -542,5 +551,8 @@ def run_all(cfg: PipelineConfig, force: bool = False) -> list[dict]:
             manifest_path(cfg.workdir, name).unlink(missing_ok=True)
             log.info("[%s] disabled, skipping", name)
             continue
-        results.append(run_stage(name, cfg, force=force))
+        results.append(run_stage(name, cfg, force=force, ctx=ctx))
+        # a parse no later stage reads would only hold memory
+        later = {art for s in ALL_CHAIN[i + 1 :] for art in STAGES[s].inputs}
+        ctx.parsed = {key: obj for key, obj in ctx.parsed.items() if key[0] in later}
     return results

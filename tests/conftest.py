@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from adgraph import corpus
+from adgraph import corpus, extract
 
 
 def make_record(
@@ -31,6 +31,18 @@ def make_record(
 
 def make_norm(ad_id: str, text: str, **kw) -> corpus.NormalizedAd:
     return corpus.normalize(make_record(ad_id, text, **kw))
+
+
+def record_identifiers(record: corpus.AdRecord, norm: corpus.NormalizedAd) -> list:
+    """extract_identifiers on one ingested record, as the extract stage calls it."""
+    original = corpus.build_original_text(record.title, record.description)
+    return extract.extract_identifiers(record.declared_phone, original, norm.norm_text)
+
+
+def ad_texts(text: str, title: str = "") -> tuple[str, str]:
+    """An ad's original text and its normalized form, as extraction reads them."""
+    original = corpus.build_original_text(title, text)
+    return original, corpus.normalize_text(original)
 
 
 def ts(minute: int) -> datetime:

@@ -33,6 +33,7 @@ from adgraph.label import LabelingConfig, generate_oad_pairs, label_htrp, split_
 from adgraph.pipeline import run_all, run_stage
 from adgraph.synth import SynthSpec, generate_corpus
 
+from conftest import record_identifiers
 from oracles import (
     components_ref,
     haversine_ref,
@@ -52,7 +53,7 @@ def report(num: int, desc: str, failures: list, elapsed: float | None = None) ->
 
 
 def norm_ad(ad_id: str, text: str) -> NormalizedAd:
-    return NormalizedAd(ad_id, text, text, 0)
+    return NormalizedAd(ad_id, text, 0)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -73,7 +74,7 @@ def planted_graph(planted_1000):
     records, _, normalized = planted_1000
     clusters = deduplicate(normalized, SimilarityConfig())
     ids_by_ad = {
-        r.ad_id: extract_identifiers(r.declared_phone, n)
+        r.ad_id: record_identifiers(r, n)
         for r, n in zip(records, normalized)
     }
     locations = {r.ad_id: r.locations for r in records}
@@ -284,7 +285,7 @@ def test_criterion_03_candidate_recall():
 def test_criterion_04_phone_fixtures():
     import json
 
-    from conftest import make_norm
+    from conftest import ad_texts
 
     failures = []
     positives = json.loads((DATA / "phone_obfuscation_cases.json").read_text())
@@ -292,9 +293,8 @@ def test_criterion_04_phone_fixtures():
     assert len(positives) == 100 and len(negatives) == 100
 
     def phones_of(text):
-        norm = make_norm("t1", text)
         return sorted(
-            i.canonical for i in extract_identifiers(None, norm) if i.kind == "phone"
+            i.canonical for i in extract_identifiers(None, *ad_texts(text)) if i.kind == "phone"
         )
 
     hits = sum(
@@ -318,7 +318,7 @@ def test_criterion_05_component_partition():
         normalized = [normalize(r) for r in records]
         clusters = deduplicate(normalized, SimilarityConfig())
         ids_by_ad = {
-            r.ad_id: extract_identifiers(r.declared_phone, n)
+            r.ad_id: record_identifiers(r, n)
             for r, n in zip(records, normalized)
         }
         graph = build_graph(clusters, ids_by_ad, {r.ad_id: r.locations for r in records})
@@ -358,7 +358,7 @@ def test_criterion_06_oad_dataset():
     normalized = [normalize(r) for r in records]
     clusters = deduplicate(normalized, SimilarityConfig())
     ids_by_ad = {
-        r.ad_id: extract_identifiers(r.declared_phone, n)
+        r.ad_id: record_identifiers(r, n)
         for r, n in zip(records, normalized)
     }
     graph = build_graph(clusters, ids_by_ad, {r.ad_id: r.locations for r in records})

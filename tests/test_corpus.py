@@ -90,7 +90,8 @@ class TestNormalizeRecord:
         norm = corpus.normalize(rec)
         assert norm.ad_id == "a1"
         assert norm.norm_text == "sweet hi there \U0001F339"
-        assert norm.original_text == "Sweet Hi  THERE \U0001F339"
+        assert corpus.build_original_text(rec.title, rec.description) == "Sweet Hi  THERE \U0001F339"
+        assert set(vars(norm)) == {"ad_id", "norm_text", "emoji_count"}
         assert norm.emoji_count == 1
 
     def test_title_only(self):
@@ -172,6 +173,30 @@ class TestIngestJsonl:
         assert [r.ad_id for r in records] == ["a1", "a3", "a4"]
         assert records[0].description == "caf\u00e9"
         assert rejects == [corpus.Reject(3, "invalid utf-8"), corpus.Reject(5, "invalid utf-8")]
+
+    def test_lone_surrogate_escape_is_a_reject_and_the_rest_is_kept(self, tmp_path):
+        # json.loads keeps an escaped lone surrogate, which no UTF-8 artifact
+        # can hold; it joins an escaped pair into one character
+        rows = [corpus_row(f"a{i}", f"ad number {i} here") for i in range(1, 7)]
+        rows[2]["description"] = "bad \udc80 half"
+        rows[4]["description"] = "smile \U0001F600 ok"
+        rows[5]["description"] = "a literal \\udc80 is text"
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="ascii")
+        assert "\\ud83d\\ude00" in path.read_text()
+
+        records, rejects = corpus.ingest(path, "jsonl")
+        assert rejects == [corpus.Reject(3, "invalid unicode (lone surrogate escape)")]
+        assert [r.ad_id for r in records] == ["a1", "a2", "a4", "a5", "a6"]
+        assert records[3].description == "smile \U0001F600 ok"
+        assert records[4].description == "a literal \\udc80 is text"
+
+        workdir = tmp_path / "w"
+        assert main(["all", "--workdir", str(workdir), "--corpus", str(path), "--quiet"]) == 0
+        assert corpus.read_jsonl(workdir / "rejects.jsonl") == [
+            {"line": 3, "reason": "invalid unicode (lone surrogate escape)"}
+        ]
+        assert len(corpus.read_jsonl(workdir / "records.jsonl")) == 5
 
 
 class TestIngestCsv:

@@ -270,7 +270,7 @@ class TestStreamedDedup:
     @given(repost_corpora())
     @settings(max_examples=150, deadline=None)
     def test_partition_is_closure_of_verified_candidates(self, texts):
-        ads = [NormalizedAd(f"a{i:03d}", t, t, 0) for i, t in enumerate(texts)]
+        ads = [NormalizedAd(f"a{i:03d}", t, 0) for i, t in enumerate(texts)]
         cfg = dedup.SimilarityConfig()
         by_id = {ad.ad_id: ad.norm_text for ad in ads}
         edges = [
@@ -286,7 +286,7 @@ class TestStreamedDedup:
     def test_candidates_are_exact_band_matches(self, texts):
         cfg = dedup.SimilarityConfig()
         mult, add = (p.tolist() for p in dedup._hash_params(cfg))
-        ads = [NormalizedAd(f"a{i:03d}", t, t, 0) for i, t in enumerate(texts)]
+        ads = [NormalizedAd(f"a{i:03d}", t, 0) for i, t in enumerate(texts)]
         sigs = {}
         for ad in ads:
             shingles = dedup._shingle_hashes(ad.norm_text, cfg.shingle_k).tolist()

@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adgraph import extract
-from adgraph.corpus import NormalizedAd, Reject
+from adgraph.corpus import Reject
 
-from conftest import make_norm
+from conftest import ad_texts
 from oracles import atoms_ref, is_emoji_ref
-
-
-def norm_for(text: str) -> NormalizedAd:
-    return make_norm("t1", text)
 
 
 def phones(text: str) -> list[str]:
     return sorted(
-        i.canonical for i in extract.extract_identifiers(None, norm_for(text)) if i.kind == "phone"
+        i.canonical for i in extract.extract_identifiers(None, *ad_texts(text)) if i.kind == "phone"
     )
 
 
@@ -210,16 +206,16 @@ class TestMergeIdentifiers:
 
 class TestExtractIdentifiers:
     def test_spans_index_original_text(self):
-        norm = make_norm("t1", "Call 555-123-0147 now", title="Hot")
-        ids = extract.extract_identifiers(None, norm)
+        original, norm = ad_texts("Call 555-123-0147 now", title="Hot")
+        ids = extract.extract_identifiers(None, original, norm)
         [phone] = [i for i in ids if i.kind == "phone"]
-        assert norm.original_text[phone.start : phone.end] == "555-123-0147"
+        assert original[phone.start : phone.end] == "555-123-0147"
 
     def test_normalization_reveals_fused_digits(self):
         # control char splits the run in the original, not after cleanup
-        norm = make_norm("t1", "call 555\x001230147 ok")
+        texts = ad_texts("call 555\x001230147 ok")
         [phone] = [
-            i for i in extract.extract_identifiers(None, norm) if i.kind == "phone"
+            i for i in extract.extract_identifiers(None, *texts) if i.kind == "phone"
         ]
         assert phone.canonical == "5551230147"
         assert phone.start is None and phone.end is None
@@ -227,34 +223,33 @@ class TestExtractIdentifiers:
     def test_mixed_case_url_path_yields_one_url(self):
         # casefolding changes the case-sensitive path; the norm pass must
         # not add the folded url as a second, spanless identifier
-        norm = norm_for("see https://Example.com/MyPage now")
-        [url] = extract.extract_identifiers(None, norm)
+        original, norm = ad_texts("see https://Example.com/MyPage now")
+        [url] = extract.extract_identifiers(None, original, norm)
         assert (url.kind, url.canonical) == ("url", "https://example.com/MyPage")
-        assert norm.original_text[url.start : url.end] == "https://Example.com/MyPage"
+        assert original[url.start : url.end] == "https://Example.com/MyPage"
 
     def test_whitespace_collapse_reveals_phone(self):
         # the gaps are wider than three separators until normalization
         # collapses them, so only the norm pass finds this phone
-        [phone] = extract.extract_identifiers(None, norm_for("call 212      555     0100"))
+        [phone] = extract.extract_identifiers(None, *ad_texts("call 212      555     0100"))
         assert (phone.kind, phone.canonical) == ("phone", "2125550100")
         assert phone.start is None
 
     def test_declared_phone_obfuscated(self):
-        ids = extract.extract_identifiers("555 one two three 0148", norm_for("hi there"))
+        ids = extract.extract_identifiers("555 one two three 0148", *ad_texts("hi there"))
         assert [i.canonical for i in ids] == ["5551230148"]
         assert ids[0].start is None
 
     def test_declared_phone_strip_fallback(self):
         # commas break chains; bare digit stripping still recovers it
-        ids = extract.extract_identifiers("555,123,0149", norm_for("hi there"))
+        ids = extract.extract_identifiers("555,123,0149", *ad_texts("hi there"))
         assert [i.canonical for i in ids] == ["5551230149"]
 
     def test_declared_unrecoverable_ignored(self):
-        assert extract.extract_identifiers("none", norm_for("hi there")) == []
+        assert extract.extract_identifiers("none", *ad_texts("hi there")) == []
 
     def test_declared_matches_text_find_keeps_span(self):
-        norm = norm_for("call 5551230147 ok")
-        ids = extract.extract_identifiers("5551230147", norm)
+        ids = extract.extract_identifiers("5551230147", *ad_texts("call 5551230147 ok"))
         [phone] = ids
         assert phone.start is not None
 
@@ -263,7 +258,7 @@ class TestExtractIdentifiers:
             "Call 555-123-0147 or mail me at kay@example.net, "
             "snap: kaybee, pics https://example.net/kay"
         )
-        kinds = sorted(i.kind for i in extract.extract_identifiers(None, norm_for(text)))
+        kinds = sorted(i.kind for i in extract.extract_identifiers(None, *ad_texts(text)))
         assert kinds == ["email", "phone", "social_handle", "url"]
 
     def test_fixture_positive_sample(self, data_dir):
@@ -286,8 +281,7 @@ class TestImportAnnotations:
         return path
 
     def test_happy_phone_and_email(self, tmp_path):
-        norm = make_norm("a1", "ring 555-123-0147 or foo@example.net soon")
-        text = norm.original_text
+        text = "ring 555-123-0147 or foo@example.net soon"
         p0 = text.index("555")
         e0 = text.index("foo@")
         path = self._write(
@@ -302,26 +296,25 @@ class TestImportAnnotations:
                 }
             ],
         )
-        found, rejects = extract.import_annotations(path, {"a1": norm})
+        found, rejects = extract.import_annotations(path, {"a1": text})
         assert rejects == []
         assert sorted(i.kind for i in found["a1"]) == ["email", "phone"]
         [phone] = [i for i in found["a1"] if i.kind == "phone"]
         assert phone.canonical == "5551230147"
 
     def test_handle_keyword_outside_span(self, tmp_path):
-        norm = make_norm("a1", "add my snap lolapetal today")
-        text = norm.original_text
+        text = "add my snap lolapetal today"
         t0 = text.index("lolapetal")
         path = self._write(
             tmp_path,
             [{"ad_id": "a1", "spans": [{"start": t0, "end": t0 + 9, "label": "social_handle"}]}],
         )
-        found, rejects = extract.import_annotations(path, {"a1": norm})
+        found, rejects = extract.import_annotations(path, {"a1": text})
         assert rejects == []
         assert found["a1"][0].canonical == "snapchat:lolapetal"
 
     def test_reject_reasons(self, tmp_path):
-        norm = make_norm("a1", "plain words only here")
+        text = "plain words only here"
         path = self._write(
             tmp_path,
             [
@@ -334,7 +327,7 @@ class TestImportAnnotations:
                 {"ad_id": "a1", "spans": [{"start": 0, "end": 4, "label": "phone"}]},
             ],
         )
-        found, rejects = extract.import_annotations(path, {"a1": norm})
+        found, rejects = extract.import_annotations(path, {"a1": text})
         assert found == {}
         reasons = " | ".join(r.reason for r in rejects)
         assert "invalid json" in reasons
@@ -346,8 +339,7 @@ class TestImportAnnotations:
         assert "no recoverable phone" in reasons
 
     def test_invalid_utf8_line_is_a_reject_and_the_rest_is_kept(self, tmp_path):
-        norm = make_norm("a1", "mail foo@example.net or bar@example.org")
-        text = norm.original_text
+        text = "mail foo@example.net or bar@example.org"
 
         def line(word):
             s = text.index(word)
@@ -357,31 +349,29 @@ class TestImportAnnotations:
         path = tmp_path / "ann.jsonl"
         lines = [line("foo@example.net").encode("utf-8"), line("foo@example.net").encode("latin-1")]
         path.write_bytes(b"\n".join([*lines, line("bar@example.org").encode("utf-8")]) + b"\n")
-        found, rejects = extract.import_annotations(path, {"a1": norm})
+        found, rejects = extract.import_annotations(path, {"a1": text})
         assert rejects == [Reject(2, "invalid utf-8")]
         assert [i.canonical for i in found["a1"]] == ["bar@example.org", "foo@example.net"]
 
     def test_url_span_over_a_closing_quote_adds_no_second_url(self, tmp_path):
-        norm = make_norm("a1", "visit https://example.com/page\u201d today")
-        text = norm.original_text
+        text = "visit https://example.com/page\u201d today"
         s = text.index("https")
         end = text.index("\u201d") + 1  # the span covers the closing quote
         path = self._write(tmp_path, [{"ad_id": "a1", "spans": [{"start": s, "end": end, "label": "url"}]}])
-        found, rejects = extract.import_annotations(path, {"a1": norm})
+        found, rejects = extract.import_annotations(path, {"a1": text})
         assert rejects == []
         assert [i.canonical for i in found["a1"]] == ["https://example.com/page"]
-        merged = extract.merge_identifiers(extract.extract_identifiers(None, norm), found["a1"])
+        merged = extract.merge_identifiers(extract.extract_identifiers(None, *ad_texts(text)), found["a1"])
         assert [i.canonical for i in merged if i.kind == "url"] == ["https://example.com/page"]
 
     def test_annotation_merges_with_span_priority(self, tmp_path):
-        norm = make_norm("a1", "digits 555 123 0147 here")
-        text = norm.original_text
+        text = "digits 555 123 0147 here"
         s = text.index("555")
         path = self._write(
             tmp_path,
             [{"ad_id": "a1", "spans": [{"start": s, "end": s + 12, "label": "phone"}]}],
         )
-        found, _ = extract.import_annotations(path, {"a1": norm})
-        rule_based = extract.extract_identifiers(None, norm)
+        found, _ = extract.import_annotations(path, {"a1": text})
+        rule_based = extract.extract_identifiers(None, *ad_texts(text))
         merged = extract.merge_identifiers(rule_based, found["a1"])
         assert len([i for i in merged if i.kind == "phone"]) == 1

@@ -2,14 +2,15 @@ import csv
 import hashlib
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import adgraph
-from adgraph import extract, pipeline
+from adgraph import corpus, extract, pipeline
 from adgraph.config import DEFAULTS, config_hash, load_config
-from adgraph.corpus import CSV_COLUMNS, read_jsonl, to_row
+from adgraph.corpus import CSV_COLUMNS, build_original_text, read_jsonl, to_row
 from adgraph.errors import PipelineError
 from adgraph.pipeline import ALL_CHAIN, ARTIFACTS, run_all, run_stage
 
@@ -101,6 +102,9 @@ class TestDeterminism:
 # should leave outputs alone (a speed-up, a refactor) must leave these
 # alone; one that means to change an artifact updates the digest and says
 # why.
+# normalized.jsonl and the manifests that hash it changed when
+# normalized.jsonl dropped original_text, which extract rebuilds from the
+# record.
 PINNED_DIGESTS = {
     "annotation_rejects.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "clusters.jsonl": "4d7c0145ad1ec28bb7ca008588674d4824aee8aadc07bbd08fbb100df5ea615b",
@@ -115,17 +119,17 @@ PINNED_DIGESTS = {
     "htrp_labels_variant.jsonl": "2beb94b533bde53cbe3190cacef3ba880445d9fdc7c8fb1b8f5796d78378bc59",
     "identifiers.jsonl": "aa1ca7e8ace8c9edf0a46387779e5aeae7c618570833af928d155d832b7f862a",
     "manifests/compare.json": "a59d638b5aa2c3294f5df689fa37b6880ff2a5067cbf41e48c32106e1e30e6ad",
-    "manifests/dedup.json": "8c50c4884b68657ddde7d185caaa14ac30a6b73ff681a7d38b745f4e18b777e2",
+    "manifests/dedup.json": "8d69848df5024b7ea96e8ac4b4fa60a3d24cb611b90a55834b5cd64b1d55cc93",
     "manifests/export.json": "c439b742bd7d4c6c14a1aa527cb4e66803d405af59fdb4611806cf2dc1794ea4",
-    "manifests/extract.json": "49d119fff0c867889d0feeac23225cf2d33b5edacdbd03f9e86e2e5f015cc0b0",
+    "manifests/extract.json": "0d0de11763760d58124639ff099c1eb933e3558aa963d8802aa53f03797b8903",
     "manifests/graph.json": "cf925e630bb6b696f556c5389de6e315d3ead0a1838d6028b1b1abc97a33c291",
-    "manifests/ingest.json": "335db2d48285043268a0ab052c20a02b59f00caefd81ac0d50e9d861b1035a28",
+    "manifests/ingest.json": "9b8adf385e77cc5cca27dfaba9c33a491c8885723a82cdfe33b0b49372ed2133",
     "manifests/label-htrp.json": "46037e852a296bbedcd98dd8a1446b85e1c1ca386dc3befe49a88f53eb6b8004",
-    "manifests/label-oad.json": "d4352c274a04ad368f25f2c7f6f8aca646d804d753e19416c6ffb012dc6aa94b",
+    "manifests/label-oad.json": "23b7d7c130590057a8e5f5edfb0f9a3dea681e9365d46ee24014377c497f1656",
     "manifests/split.json": "b6250083b329cb6af33a56dae0c510187f71a81fe96591f255caf1a695c93f20",
     "manifests/stats.json": "bfadb6d1dbc746937c50a4862cc5bffbf57e38e4225cdf54bfb5514531d05df0",
     "manifests/synth.json": "16d2b02de342131b0b5437ca03f163d28c335882ae9111c7faab220083864b63",
-    "normalized.jsonl": "797472aa8ad6393b0e1163eda3b6f4ac792bfe4e7c5ae94093273793f4459388",
+    "normalized.jsonl": "3d47f775ba1a898951607979feb59ae78c38a6b3864f40b4f5f7e3a9931a663b",
     "oad_pairs.jsonl": "ff1a5b0508de03e998dc3c922af3a651bf800d42de3b450f85962c853d39b468",
     "records.jsonl": "678c6a05f277325803bad9540e4e7ad284a76e4f7c91c545eca1ad9513d6c019",
     "rejects.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -300,28 +304,34 @@ class TestExtractOncePerText:
         run_stage("ingest", cfg)
         return cfg
 
+    @staticmethod
+    def keys_by_ad(workdir) -> dict[str, tuple]:
+        """Each ad's extract_identifiers arguments, from the ingest artifacts."""
+        norm_text = {row["ad_id"]: row["norm_text"] for row in read_jsonl(workdir / "normalized.jsonl")}
+        return {
+            row["ad_id"]: (
+                row["declared_phone"],
+                build_original_text(row["title"], row["description"]),
+                norm_text[row["ad_id"]],
+            )
+            for row in read_jsonl(workdir / "records.jsonl")
+        }
+
     def test_one_call_per_distinct_key(self, ingested, monkeypatch):
         keys = []
         original = extract.extract_identifiers
 
-        def counted(declared, norm):
-            keys.append((declared, norm.original_text, norm.norm_text))
-            return original(declared, norm)
+        def counted(*key):
+            keys.append(key)
+            return original(*key)
 
         monkeypatch.setattr(extract, "extract_identifiers", counted)
         run_stage("extract", ingested)
-        ctx = pipeline.StageContext(ingested)
-        norm_by_id = {n.ad_id: n for n in ctx.normalized()}
-        want = {
-            (r.declared_phone, norm_by_id[r.ad_id].original_text, norm_by_id[r.ad_id].norm_text)
-            for r in ctx.records()
-        }
+        want = set(self.keys_by_ad(ingested.workdir).values())
         assert len(keys) == len(want) == 4 and set(keys) == want
 
     def test_rows_match_per_ad_extraction_plus_own_annotation(self, ingested):
         run_stage("extract", ingested)
-        ctx = pipeline.StageContext(ingested)
-        norm_by_id = {n.ad_id: n for n in ctx.normalized()}
         got: dict[str, list[dict]] = {}
         for row in read_jsonl(ingested.workdir / "identifiers.jsonl"):
             got.setdefault(row.pop("ad_id"), []).append(row)
@@ -332,10 +342,41 @@ class TestExtractOncePerText:
         assert [r["kind"] for r in got["a2"]] == ["email"]
         got["a1"].remove(annotated)
         per_ad = {
-            r.ad_id: [to_row(i) for i in extract.extract_identifiers(r.declared_phone, norm_by_id[r.ad_id])]
-            for r in ctx.records()
+            ad_id: [to_row(i) for i in extract.extract_identifiers(*key)]
+            for ad_id, key in self.keys_by_ad(ingested.workdir).items()
         }
         assert got == {ad: rows for ad, rows in per_ad.items() if rows}
+
+
+class TestOneContextPerChain:
+    def test_run_all_parses_each_artifact_at_most_once(self, tmp_path, monkeypatch):
+        cfg = make_cfg(tmp_path / "w")
+        run_stage("synth", cfg)
+        parses: Counter[str] = Counter()
+
+        def counted(read):
+            def wrapper(path):
+                parses[Path(path).name] += 1
+                return read(path)
+            return wrapper
+
+        monkeypatch.setattr(corpus, "read_jsonl", counted(corpus.read_jsonl))
+        monkeypatch.setattr(pipeline, "read_graph_json", counted(pipeline.read_graph_json))
+        assert all(r["ran"] for r in run_all(cfg))
+        assert set(parses) == {
+            "records.jsonl", "normalized.jsonl", "clusters.jsonl",
+            "identifiers.jsonl", "graph.json", "htrp_labels.jsonl",
+        }
+        assert max(parses.values()) == 1, parses
+
+    def test_stage_by_stage_writes_what_run_all_writes(self, full_run, tmp_path):
+        # a stage that mutated a parse shared through run_all's context
+        # would change what a later stage writes there, and only there
+        cfg = make_cfg(tmp_path / "w")
+        run_stage("synth", cfg)
+        for name in ALL_CHAIN:
+            assert run_stage(name, cfg)["ran"]
+        assert artifact_bytes(tmp_path / "w") == artifact_bytes(full_run[0])
 
 
 class TestAtomicWrites:

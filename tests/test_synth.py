@@ -6,11 +6,12 @@ from adgraph import corpus, synth
 from adgraph.corpus import ingest, normalize
 from adgraph.dedup import SimilarityConfig, deduplicate, similarity
 from adgraph.errors import ConfigError
-from adgraph.extract import extract_identifiers
 from adgraph.geo import Gazetteer
 from adgraph.graph import build_graph
 from adgraph.label import LabelingConfig, label_htrp
 from adgraph.synth import GroundTruth, SynthSpec, generate, generate_corpus
+
+from conftest import record_identifiers
 
 
 SPEC = SynthSpec(n_ads=120, n_components=15, dup_rate=0.5, obfuscation_rate=0.7, seed=3)
@@ -119,7 +120,7 @@ class TestPlantedIdentifiers:
     def test_extraction_matches_plant_exactly(self, world):
         records, truth, normalized = world
         for record, norm in zip(records, normalized):
-            got = {(i.kind, i.canonical) for i in extract_identifiers(record.declared_phone, norm)}
+            got = {(i.kind, i.canonical) for i in record_identifiers(record, norm)}
             want = {
                 (x["kind"], x["canonical"]) for x in truth.planted_identifiers[norm.ad_id]
             }
@@ -131,7 +132,7 @@ def graph(world):
     records, truth, normalized = world
     clusters = deduplicate(normalized, SimilarityConfig())
     ids_by_ad = {
-        r.ad_id: extract_identifiers(r.declared_phone, n)
+        r.ad_id: record_identifiers(r, n)
         for r, n in zip(records, normalized)
     }
     locations = {r.ad_id: r.locations for r in records}
