@@ -292,7 +292,7 @@ def from_row(cls: type, row: dict):
         return cls(**row)
     except TypeError as exc:
         raise PipelineError(
-            f"{cls.__name__} row has keys {sorted(row)}; rerun the stage that wrote it"
+            f"{cls.__name__} row has keys {sorted(row)}, an older or edited format"
         ) from exc
 
 
@@ -335,8 +335,5 @@ def read_jsonl(path: str | Path) -> list[dict]:
                 try:
                     out.append(json.loads(line))
                 except json.JSONDecodeError as exc:
-                    raise PipelineError(
-                        f"artifact {Path(path).name} line {lineno} is not valid json; "
-                        "the file is corrupt, rerun the stage that wrote it"
-                    ) from exc
+                    raise PipelineError(f"line {lineno} is not valid json") from exc
     return out

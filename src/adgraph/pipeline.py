@@ -18,7 +18,6 @@ import hashlib
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -77,6 +76,9 @@ def _pmap(fn: Callable, items: list, threads: int) -> list:
     # worker startup is not free; small batches run inline
     if threads <= 1 or len(items) < 512:
         return [fn(x) for x in items]
+    # imported here: the pool module costs start-up that inline runs skip
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(64, len(items) // (threads * 8))
     with ProcessPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items, chunksize=chunk))
@@ -137,10 +139,24 @@ class StageContext:
         return self.workdir / ARTIFACTS[artifact]
 
     def read(self, artifact: str):
-        """The parsed artifact; it must be one of the running stage's inputs."""
+        """The parsed artifact; it must be one of the running stage's inputs.
+
+        A file its parser rejects, corrupt or in an older format, raises
+        an error naming the stage that writes it and --force: while the
+        file still matches that stage's manifest, only a forced run
+        rewrites it.
+        """
         key = (artifact, self.inputs[artifact])
         if key not in self.parsed:
-            self.parsed[key] = PARSERS[artifact](self.path(artifact))
+            path = self.path(artifact)
+            try:
+                self.parsed[key] = PARSERS[artifact](path)
+            except PipelineError as exc:
+                producer = PRODUCER[artifact]
+                raise PipelineError(
+                    f"artifact {path.name} cannot be read ({exc}); "
+                    f"rerun '{producer}' with --force"
+                ) from exc
         return self.parsed[key]
 
     def write_json(self, artifact: str, obj: dict) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -69,6 +70,35 @@ class TestErrors:
         caplog.clear()
         assert run(["dedup", "--workdir", workdir, "--force"]) == 1
         assert "not valid json" in caplog.text
+
+    def test_old_format_artifact_names_its_stage_and_force(self, tmp_path, caplog):
+        # a workdir written before normalized.jsonl dropped original_text:
+        # the ingest manifest still matches the file, so ingest stays fresh
+        workdir = tmp_path / "w"
+        args = ["--workdir", str(workdir), "--quiet"]
+        assert run(["synth", *args, "--n-ads", "60", "--n-components", "8"]) == 0
+        assert run(["all", *args]) == 0
+        normalized = workdir / "normalized.jsonl"
+        rows = [json.loads(line) for line in normalized.read_text(encoding="utf-8").splitlines()]
+        normalized.write_text(
+            "".join(json.dumps({**r, "original_text": r["norm_text"]}) + "\n" for r in rows),
+            encoding="utf-8",
+        )
+        manifest = workdir / "manifests" / "ingest.json"
+        man = json.loads(manifest.read_text(encoding="utf-8"))
+        man["outputs"]["normalized"] = hashlib.sha256(normalized.read_bytes()).hexdigest()
+        manifest.write_text(json.dumps(man), encoding="utf-8")
+
+        rerun = ["all", *args, "--set", "dedup.dup_threshold=0.8"]
+        caplog.clear()
+        assert run(rerun) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert "normalized.jsonl" in errors[0]
+        assert "'ingest'" in errors[0] and "--force" in errors[0]
+        # the remedy the message names works
+        assert run(["ingest", *args, "--force"]) == 0
+        assert run(rerun) == 0
 
 
 class TestHappyPath:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adgraph import dedup
+from adgraph import dedup, kernels
 from adgraph.corpus import NormalizedAd
 from adgraph.errors import ConfigError
 
@@ -110,23 +110,23 @@ class TestLevenshteinMany:
     @given(st.lists(_pair(), max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_matches_reference(self, pairs):
-        assert dedup.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
+        assert kernels.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
 
     @given(st.lists(_pair(), min_size=4, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_many_blocks_keep_input_order(self, pairs):
-        with mock.patch.object(dedup, "_BLOCK", 3):
-            got = dedup.levenshtein_many(pairs)
+        with mock.patch.object(kernels, "_BLOCK", 3):
+            got = kernels.levenshtein_many(pairs)
         assert got == [levenshtein_ref(a, b) for a, b in pairs]
 
     def test_more_pairs_than_one_block(self):
         rng = random.Random(5)
         pairs = []
-        for _ in range(dedup._BLOCK + 90):
+        for _ in range(kernels._BLOCK + 90):
             a = "".join(rng.choice("abcd ") for _ in range(rng.randint(0, 40)))
             b = "".join(rng.choice("abcd ") for _ in range(rng.randint(0, 40)))
             pairs.append((a, b))
-        assert dedup.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
+        assert kernels.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
 
     @pytest.mark.parametrize("m", [63, 64, 65, 127, 128, 129])
     def test_patterns_at_word_boundaries(self, m):
@@ -137,7 +137,7 @@ class TestLevenshteinMany:
             text = "".join(rng.choice("abc") for _ in range(m + extra))
             pairs += [(pattern, text), (text, pattern)]
         pairs.append((_no_shared_ends(rng, "abc", m), "ab"))
-        assert dedup.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
+        assert kernels.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
 
     CARRIES = [
         # long runs of matches: the addition carries through whole words
@@ -155,10 +155,10 @@ class TestLevenshteinMany:
 
     def test_pinned_carry_cases(self):
         pairs = self.CARRIES + [(b, a) for a, b in self.CARRIES]
-        assert dedup.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
+        assert kernels.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
 
     def test_empty_batch(self):
-        assert dedup.levenshtein_many([]) == []
+        assert kernels.levenshtein_many([]) == []
         assert dedup.similarities([]) == []
 
     @given(st.lists(_pair(), max_size=12))
@@ -237,9 +237,9 @@ class TestSignatureMatrix:
         cfg = dedup.SimilarityConfig()
         texts = [_random_text(rng, rng.randint(5, 120)) for _ in range(12)]
         texts += [texts[0], "abcde", "abcdefgh"]
-        shingles = [dedup._shingle_hashes(t, cfg.shingle_k) for t in texts]
-        sigs = dedup._signature_matrix(shingles, cfg)
-        mult, add = (p.tolist() for p in dedup._hash_params(cfg))
+        shingles = [kernels.shingle_hashes(t, cfg.shingle_k) for t in texts]
+        sigs = kernels._signature_matrix(shingles, cfg)
+        mult, add = (p.tolist() for p in kernels._hash_params(cfg))
         assert sigs.shape == (len(texts), cfg.num_signatures)
         for row, arr in zip(sigs, shingles):
             assert row.tolist() == minhash_ref(arr.tolist(), mult, add)
@@ -285,11 +285,11 @@ class TestStreamedDedup:
     @settings(max_examples=60, deadline=None)
     def test_candidates_are_exact_band_matches(self, texts):
         cfg = dedup.SimilarityConfig()
-        mult, add = (p.tolist() for p in dedup._hash_params(cfg))
+        mult, add = (p.tolist() for p in kernels._hash_params(cfg))
         ads = [NormalizedAd(f"a{i:03d}", t, 0) for i, t in enumerate(texts)]
         sigs = {}
         for ad in ads:
-            shingles = dedup._shingle_hashes(ad.norm_text, cfg.shingle_k).tolist()
+            shingles = kernels.shingle_hashes(ad.norm_text, cfg.shingle_k).tolist()
             sigs[ad.ad_id] = minhash_ref(shingles, mult, add) if shingles else ad.norm_text
         r = cfg.rows_per_band
         want = set()

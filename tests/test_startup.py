@@ -1,0 +1,83 @@
+"""Start-up guard: numpy loads only in the stages that compute with it.
+
+Each check runs in a fresh interpreter, because this process has numpy
+loaded already, and reads which modules that interpreter ended with.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the modules perfbench's tracer finds in sys.modules after importing
+# adgraph.cli, so each must load with it
+TRACED = ("corpus", "emoji", "dedup", "extract", "graph", "label", "analysis", "synth", "pipeline")
+
+BASE = [
+    "--quiet",
+    "--set", "synth.n_ads=120",
+    "--set", "synth.n_components=10",
+    "--set", "label.pairs_per_class=25",
+]
+RELABEL = ["--set", "label.distance_threshold_miles=690", "--set", "label.phone_count_threshold=4"]
+
+
+def modules_after(*commands: list[str]) -> set[str]:
+    """sys.modules of a fresh interpreter once cli.main has run each command."""
+    script = (
+        "import json, sys\n"
+        "from adgraph import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def base_chain(tmp_path_factory):
+    """A workdir after a cold synth + all, and the modules that chain loaded."""
+    workdir = str(tmp_path_factory.mktemp("startup") / "w")
+    loaded = modules_after(["synth", "--workdir", workdir, *BASE], ["all", "--workdir", workdir, *BASE])
+    return workdir, loaded
+
+
+def test_importing_the_cli_loads_every_traced_module_and_no_numpy():
+    loaded = modules_after()
+    assert {f"adgraph.{m}" for m in TRACED} <= loaded
+    assert "numpy" not in loaded
+    assert "concurrent.futures.process" not in loaded
+
+
+def test_synth_loads_no_numpy(tmp_path):
+    assert "numpy" not in modules_after(["synth", "--workdir", str(tmp_path / "w"), *BASE])
+
+
+def test_a_cold_chain_loads_numpy(base_chain):
+    _, loaded = base_chain
+    assert "numpy" in loaded
+    assert "adgraph.kernels" in loaded
+
+
+def test_relabel_and_up_to_date_reruns_load_no_numpy(base_chain):
+    workdir, _ = base_chain
+    manifests = Path(workdir) / "manifests"
+    before = {p.name: p.read_bytes() for p in manifests.iterdir()}
+    relabel = ["all", "--workdir", workdir, *BASE, *RELABEL]
+    # the second run finds every stage up to date
+    assert "numpy" not in modules_after(relabel, relabel)
+    after = {p.name: p.read_bytes() for p in manifests.iterdir()}
+    assert {name for name in before if before[name] != after[name]} == {
+        "label-htrp.json",
+        "compare.json",
+    }
