@@ -29,15 +29,19 @@ CSV_COLUMNS = ("ad_id", "title", "description", "posted_at", "locations", "decla
 # so a pathological input cannot loop forever
 _NORMALIZE_ROUNDS = 4
 
-# str.translate table deleting control characters (category Cc) other than
-# whitespace. Cc is fixed by Unicode's stability policy at U+0000..U+001F
-# and U+007F..U+009F, so scanning the code points below U+00A0 finds all of
-# it; a scan of every code point would cost about 0.4 s at import.
-_DELETE_CONTROL = {
-    cp: None
-    for cp in range(0xA0)
-    if unicodedata.category(chr(cp)) == "Cc" and not chr(cp).isspace()
-}
+# control characters (category Cc) other than whitespace, which
+# normalize_text deletes. Cc is fixed by Unicode's stability policy at
+# U+0000..U+001F and U+007F..U+009F, so scanning the code points below
+# U+00A0 finds all of it; a scan of every code point would cost about
+# 0.4 s at import.
+_CONTROL_RE = re.compile(
+    "[%s]"
+    % "".join(
+        re.escape(chr(cp))
+        for cp in range(0xA0)
+        if unicodedata.category(chr(cp)) == "Cc" and not chr(cp).isspace()
+    )
+)
 
 
 @dataclass
@@ -97,7 +101,7 @@ def normalize_text(text: str) -> str:
     removed before the casefold/NFC fixpoint so their removal cannot
     expose a composition on a later pass.
     """
-    s = text.translate(_DELETE_CONTROL)
+    s = _CONTROL_RE.sub("", text)
     prev = None
     for _ in range(_NORMALIZE_ROUNDS):
         if s == prev:
@@ -284,16 +288,21 @@ def from_row(cls: type, row: dict):
     stamps, nested = _special_fields(cls)
     if stamps or nested:
         row = dict(row)
-        for name in stamps:
-            row[name] = parse_timestamp(row[name])
-        for name, hint in nested:
-            row[name] = from_row(hint, row[name])
+        try:
+            for name in stamps:
+                row[name] = parse_timestamp(row[name])
+            for name, hint in nested:
+                row[name] = from_row(hint, row[name])
+        except KeyError as exc:
+            raise _wrong_keys(cls, row) from exc
     try:
         return cls(**row)
     except TypeError as exc:
-        raise PipelineError(
-            f"{cls.__name__} row has keys {sorted(row)}, an older or edited format"
-        ) from exc
+        raise _wrong_keys(cls, row) from exc
+
+
+def _wrong_keys(cls: type, row: dict) -> PipelineError:
+    return PipelineError(f"{cls.__name__} row has keys {sorted(row)}, an older or edited format")
 
 
 @contextmanager

@@ -128,10 +128,10 @@ def candidate_pairs(ads: Sequence[NormalizedAd], cfg: SimilarityConfig) -> set[t
     band collision makes a pair a candidate. Shorter texts are compared
     by exact text equality only.
     """
-    from .kernels import buckets, shingle_hashes
+    from .kernels import buckets, shingle_hashes_many
 
     texts = [ad.norm_text for ad in ads]
-    shingles = [shingle_hashes(t, cfg.shingle_k) for t in texts]
+    shingles = shingle_hashes_many(texts, cfg.shingle_k)
     pairs: set[tuple[str, str]] = set()
     for members in buckets(texts, shingles, cfg):
         pairs.update(itertools.combinations(sorted({ads[i].ad_id for i in members}), 2))
@@ -158,7 +158,7 @@ def deduplicate(
     and chain transitively. The canonical member is the earliest
     posted_at when given (ties, or no timestamps: lowest ad_id).
     """
-    from .kernels import buckets, shared_count, shingle_hashes
+    from .kernels import buckets, shared_count, shingle_hashes_many
 
     cfg = cfg or SimilarityConfig()
     seen: set[str] = set()
@@ -188,7 +188,7 @@ def deduplicate(
     threshold = cfg.dup_threshold
     k = cfg.shingle_k
     texts = [ad.norm_text for ad in reps]
-    shingles = [shingle_hashes(t, k) for t in texts]
+    shingles = shingle_hashes_many(texts, k)
 
     def verified(a: int, b: int, longest: int) -> bool:
         # One edit changes at most shingle_k members of a text's shingle

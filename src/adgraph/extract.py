@@ -240,6 +240,10 @@ def _phones(text: str) -> list[str]:
     return found
 
 
+def _utf8(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass")
+
+
 def extract_identifiers(
     declared_phone: str | None, original_text: str, norm_text: str
 ) -> list[Identifier]:
@@ -250,15 +254,28 @@ def extract_identifiers(
     original-pass identifier of its kind matches up to case (span
     recovered by exact substring match when possible), then the declared
     phone field (never carries a span).
+
+    norm_text is not scanned when it is original_text with only ASCII
+    letters lowered, as it is for most ads: every scanner reads A-Z and
+    a-z alike (the atom words are ASCII and IGNORECASE, the email and
+    gap classes hold both cases or no letters, handles and urls match
+    IGNORECASE), and lowering keeps every other character, so that scan
+    would find the same identifiers up to case, which it drops.
     """
     original_pass = _scan_text(original_text)
+    # bytes.lower lowers A-Z only; str.lower and casefold also fold
+    # non-ASCII letters, U+0130 and U+212A among them onto ASCII ones
+    if len(norm_text) == len(original_text) and _utf8(original_text).lower() == _utf8(norm_text):
+        norm_scan = []
+    else:
+        norm_scan = _scan_text(norm_text)
 
     # casefolding can change what a scanner reads (a url path is
     # case-sensitive), so a norm-pass identifier that an original-pass one
     # of its kind matches up to case is that identifier, not a second one
     found = {(ident.kind, ident.canonical.casefold()) for ident in original_pass}
     norm_pass = []
-    for ident in _scan_text(norm_text):
+    for ident in norm_scan:
         if (ident.kind, ident.canonical.casefold()) in found:
             continue
         idx = original_text.find(ident.raw)

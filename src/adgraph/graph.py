@@ -18,6 +18,7 @@ from typing import Iterable, Mapping
 
 from .corpus import atomic_open, from_row, to_row
 from .dedup import DuplicateCluster
+from .errors import PipelineError
 from .extract import Identifier
 from .unionfind import UnionFind
 
@@ -217,8 +218,14 @@ def write_graph_json(graph: RelatednessGraph, path: str | Path) -> None:
 
 
 def read_graph_json(path: str | Path) -> RelatednessGraph:
+    """The graph write_graph_json wrote; PipelineError if it is not one."""
     with open(path, encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+        try:
+            return graph_from_dict(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise PipelineError(f"not valid json: {exc}") from exc
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise PipelineError(f"not a graph: {exc!r}") from exc
 
 
 def _subgraph_view(graph: RelatednessGraph, component: int | None):

@@ -187,22 +187,66 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return _POPCOUNT8[x.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
+# code points hashed per shingle_hashes_many pass, which bounds its
+# transient arrays; a longer text is hashed in a pass of its own
+_SHINGLE_BUDGET = 16384
+
+
 def shingle_hashes(text: str, k: int) -> np.ndarray:
     """Distinct 64-bit hashes of the k-char shingles of text."""
-    if len(text) < k:
-        return np.empty(0, dtype=_U64)
-    cps = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(_U64)
+    return shingle_hashes_many([text], k)[0]
+
+
+def shingle_hashes_many(texts: Sequence[str], k: int) -> list[np.ndarray]:
+    """shingle_hashes(text, k) for every text, in input order.
+
+    The texts' code points are concatenated, about _SHINGLE_BUDGET at a
+    time, and rolled and mixed in one pass. A window that crosses from
+    one text into the next is hashed too but never kept: each text's
+    windows are a slice of the pass, sorted in place, and a hash is kept
+    where it starts the slice or differs from its left neighbour. Every
+    step is elementwise uint64 arithmetic, so each text gets the sorted
+    distinct hashes that a pass over it alone gives.
+    """
+    out: list[np.ndarray] = []
+    lo = 0
+    while lo < len(texts):
+        hi, size = lo + 1, len(texts[lo])
+        while hi < len(texts) and size + len(texts[hi]) <= _SHINGLE_BUDGET:
+            size += len(texts[hi])
+            hi += 1
+        out.extend(_shingle_pass(texts[lo:hi], k))
+        lo = hi
+    return out
+
+
+def _shingle_pass(texts: Sequence[str], k: int) -> list[np.ndarray]:
+    ends = np.cumsum([len(t) for t in texts]).tolist()
+    # each text's windows, empty for a text shorter than k
+    spans = [(end - len(t), max(end - len(t), end - k + 1)) for t, end in zip(texts, ends)]
+    cps = _codepoints(texts).astype(_U64)
     n = len(cps) - k + 1
-    acc = np.zeros(n, dtype=_U64)
-    for j in range(k):
-        acc = acc * _HASH_BASE + cps[j : j + n]
+    if n <= 0:
+        return [np.empty(0, dtype=_U64) for _ in texts]
+    acc = cps[:n].copy()
+    for j in range(1, k):
+        acc *= _HASH_BASE
+        acc += cps[j : j + n]
     # bijective avalanche so band buckets do not cluster on low bits
     acc ^= acc >> _SHIFT33
     acc *= _MIX1
     acc ^= acc >> _SHIFT33
     acc *= _MIX2
     acc ^= acc >> _SHIFT33
-    return np.unique(acc)
+    for lo, hi in spans:
+        acc[lo:hi].sort()
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    np.not_equal(acc[1:], acc[:-1], out=keep[1:])
+    for lo, hi in spans:
+        if lo < hi:
+            keep[lo] = True
+    return [acc[lo:hi][keep[lo:hi]] for lo, hi in spans]
 
 
 def shared_count(a: np.ndarray, b: np.ndarray) -> int:

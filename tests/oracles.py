@@ -13,6 +13,7 @@ import math
 import re
 from collections import deque
 
+from adgraph import extract
 from adgraph.emoji import emoji_ranges
 
 
@@ -136,6 +137,25 @@ def jaccard_shingles_ref(a: str, b: str, k: int = 5) -> float:
     if not sa and not sb:
         return 1.0
     return len(sa & sb) / len(sa | sb)
+
+
+def shingle_hashes_ref(text: str, k: int) -> list[int]:
+    """Sorted distinct shingle hashes in Python integers: each k-char
+    window's code points rolled base 1099511628211 mod 2^64, then mixed
+    by the same xorshift-multiply avalanche as the package."""
+    mask = (1 << 64) - 1
+    out = set()
+    for i in range(len(text) - k + 1):
+        h = 0
+        for ch in text[i : i + k]:
+            h = (h * 1099511628211 + ord(ch)) & mask
+        h ^= h >> 33
+        h = (h * 0xFF51AFD7ED558CCD) & mask
+        h ^= h >> 33
+        h = (h * 0xC4CEB9FE1A85EC53) & mask
+        h ^= h >> 33
+        out.add(h)
+    return sorted(out)
 
 
 def minhash_ref(shingles: list[int], mult: list[int], add: list[int]) -> list[int]:
@@ -262,3 +282,26 @@ def wilcoxon_exact_ref(diffs: list[float]) -> tuple[float, float]:
         if min(w, total - w) <= observed + 1e-12:
             hits += 1
     return observed, hits / 2.0**n
+
+
+def extract_identifiers_ref(declared_phone, original_text: str, norm_text: str):
+    """extract.extract_identifiers with the norm_text scan always run.
+
+    Original pass, then a norm pass keeping what no original-pass
+    identifier of its kind matches up to case, then the declared phone.
+    """
+    original_pass = extract._scan_text(original_text)
+    found = {(i.kind, i.canonical.casefold()) for i in original_pass}
+    norm_pass = []
+    for ident in extract._scan_text(norm_text):
+        if (ident.kind, ident.canonical.casefold()) in found:
+            continue
+        idx = original_text.find(ident.raw)
+        span = (idx, idx + len(ident.raw)) if idx >= 0 else (None, None)
+        norm_pass.append(extract.Identifier(ident.kind, ident.raw, ident.canonical, *span))
+    declared_pass = []
+    if declared_phone:
+        declared_pass = [
+            extract.Identifier("phone", declared_phone, c) for c in extract._phones(declared_phone)
+        ]
+    return extract.merge_identifiers(original_pass, norm_pass, declared_pass)

@@ -71,6 +71,39 @@ class TestErrors:
         assert run(["dedup", "--workdir", workdir, "--force"]) == 1
         assert "not valid json" in caplog.text
 
+    @pytest.fixture
+    def finished_workdir(self, tmp_path):
+        workdir = tmp_path / "w"
+        args = ["--workdir", str(workdir), "--quiet"]
+        assert run(["synth", *args, "--n-ads", "60", "--n-components", "8"]) == 0
+        assert run(["all", *args]) == 0
+        return workdir
+
+    @staticmethod
+    def error_lines(caplog) -> list[str]:
+        return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+    @pytest.mark.parametrize("content", ['{"broken', "{}", "[]", '{"components": 1}'])
+    def test_corrupt_graph_json_is_one_error_line(self, finished_workdir, caplog, content):
+        (finished_workdir / "graph.json").write_text(content, encoding="utf-8")
+        caplog.clear()
+        assert run(["stats", "--workdir", str(finished_workdir), "--force"]) == 1
+        [error] = self.error_lines(caplog)
+        assert "\n" not in error
+        assert "graph.json" in error and "'graph'" in error and "--force" in error
+
+    def test_row_without_timestamp_names_its_stage_and_force(self, finished_workdir, caplog):
+        records = finished_workdir / "records.jsonl"
+        rows = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
+        del rows[3]["posted_at"]
+        records.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        caplog.clear()
+        assert run(["dedup", "--workdir", str(finished_workdir), "--force"]) == 1
+        [error] = self.error_lines(caplog)
+        assert "\n" not in error
+        assert "records.jsonl" in error and "row has keys" in error
+        assert "'ingest'" in error and "--force" in error
+
     def test_old_format_artifact_names_its_stage_and_force(self, tmp_path, caplog):
         # a workdir written before normalized.jsonl dropped original_text:
         # the ingest manifest still matches the file, so ingest stays fresh

@@ -46,7 +46,7 @@ class TestNormalizeText:
         for cp in range(sys.maxunicode + 1):
             ch = chr(cp)
             strip = unicodedata.category(ch) == "Cc" and not ch.isspace()
-            if ch.translate(corpus._DELETE_CONTROL) != ("" if strip else ch):
+            if corpus._CONTROL_RE.sub("", ch) != ("" if strip else ch):
                 wrong.append(cp)
         assert wrong == []
 

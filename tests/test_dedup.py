@@ -2,6 +2,7 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from oracles import (
     edge_closure_ref,
     levenshtein_ref,
     minhash_ref,
+    shingle_hashes_ref,
     similarity_ref,
 )
 
@@ -229,6 +231,48 @@ class TestCandidatePairs:
         ads = [make_norm(f"x{i}", _random_text(rng, 60)) for i in range(30)]
         cfg = dedup.SimilarityConfig()
         assert dedup.candidate_pairs(ads, cfg) == dedup.candidate_pairs(ads, cfg)
+
+
+# a small pool, so equal texts often sit side by side in one pass
+_SHINGLE_TEXTS = st.lists(
+    st.one_of(
+        st.just(""),
+        st.text("ab", max_size=4),
+        st.text("abc", min_size=5, max_size=5),
+        st.text("a\U0001F600\U00010348\u00e9", min_size=1, max_size=12),
+        st.text(min_size=20, max_size=120),
+        st.sampled_from(("abcde", "aaaaaaa", "\U0001F600" * 6)),
+    ),
+    max_size=12,
+)
+
+
+class TestShingleHashesMany:
+    @given(_SHINGLE_TEXTS, st.sampled_from((1, 2, 5)), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_text_reference(self, texts, k, budget):
+        # a small budget makes passes end, and texts straddle them, anywhere
+        with mock.patch.object(kernels, "_SHINGLE_BUDGET", budget):
+            got = kernels.shingle_hashes_many(texts, k)
+        assert len(got) == len(texts)
+        for text, arr in zip(texts, got):
+            assert arr.dtype == np.uint64 and arr.ndim == 1
+            assert arr.tolist() == shingle_hashes_ref(text, k)
+
+    @given(_SHINGLE_TEXTS)
+    @settings(max_examples=100, deadline=None)
+    def test_default_budget_and_one_text_case(self, texts):
+        got = kernels.shingle_hashes_many(texts, 5)
+        for text, arr in zip(texts, got):
+            one = kernels.shingle_hashes(text, 5)
+            assert arr.dtype == one.dtype == np.uint64
+            assert arr.tolist() == one.tolist() == shingle_hashes_ref(text, 5)
+
+    def test_text_longer_than_the_budget(self):
+        rng = random.Random(5)
+        texts = ["abcdefg", _random_text(rng, 3 * kernels._SHINGLE_BUDGET), "abcdefg"]
+        got = kernels.shingle_hashes_many(texts, 5)
+        assert [a.tolist() for a in got] == [shingle_hashes_ref(t, 5) for t in texts]
 
 
 class TestSignatureMatrix:

@@ -1,15 +1,16 @@
 import json
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adgraph import extract
-from adgraph.corpus import Reject
+from adgraph.corpus import Reject, normalize_text
 
 from conftest import ad_texts
-from oracles import atoms_ref, is_emoji_ref
+from oracles import atoms_ref, extract_identifiers_ref, is_emoji_ref
 
 
 def phones(text: str) -> list[str]:
@@ -270,6 +271,81 @@ class TestExtractIdentifiers:
         cases = json.loads((data_dir / "phone_negative_cases.json").read_text())
         for case in cases[::10]:
             assert phones(case["text"]) == []
+
+
+def _ascii_lower(text: str) -> str:
+    return "".join(chr(ord(c) + 32) if "A" <= c <= "Z" else c for c in text)
+
+
+def _ident_keys(text: str) -> set[tuple[str, str]]:
+    return {(i.kind, i.canonical.casefold()) for i in extract._scan_text(text)}
+
+
+# case-fold traps: str.lower, casefold or a Unicode IGNORECASE map the
+# first four onto ASCII letters, casefold expands U+00DF, and U+03A3
+# lowers by context
+_CASE_TRAPS = ("\u212a", "\u017f", "\u0130", "\u0131", "\u00df", "\u03a3")
+_CASE_PIECES = (
+    st.text("abckosxyzABCKOSXYZ", min_size=1, max_size=4),
+    st.text("0123456789", min_size=1, max_size=4),
+    st.sampled_from(_WORDS + sorted(extract._PLATFORMS)).flatmap(_mixed_case),
+    st.sampled_from((" ", "-", ".", ":", "@", "(", ")", "_", "/", "%", "+")),
+    st.sampled_from(("\U0001F600", "\u260e", "\u2728")),
+    st.sampled_from(("https://", "HTTP://", "Ex.COM/", "/Path", "Me@", "@Mail.Com", ".Net", "?Q=1")),
+    st.sampled_from(_CASE_TRAPS),
+)
+_CASE_TEXT = st.lists(st.one_of(*_CASE_PIECES), max_size=24).map("".join)
+# what normalization changes beyond ASCII case: control characters,
+# runs and kinds of whitespace
+_RAW_TEXT = st.lists(
+    st.one_of(*_CASE_PIECES, st.sampled_from(("\x00", "\x07", "   ", "\t", "\n", "\u3000"))),
+    max_size=24,
+).map("".join)
+_DECLARED = st.one_of(st.none(), st.just(""), st.text("0123456789 -", max_size=14))
+
+
+class TestNormPassSkip:
+    @given(_CASE_TEXT)
+    @settings(max_examples=1000, deadline=None)
+    def test_ascii_lowering_reveals_no_identifier(self, text):
+        # the premise of the skip: every scanner reads A-Z and a-z alike
+        assert _ident_keys(_ascii_lower(text)) <= _ident_keys(text)
+
+    @given(_DECLARED, _CASE_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_two_pass_reference_on_lowered_text(self, declared, text):
+        norm = _ascii_lower(text)
+        assert extract.extract_identifiers(declared, text, norm) == extract_identifiers_ref(declared, text, norm)
+
+    @given(_DECLARED, _RAW_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_two_pass_reference_on_normalized_text(self, declared, text):
+        norm = normalize_text(text)
+        assert extract.extract_identifiers(declared, text, norm) == extract_identifiers_ref(declared, text, norm)
+
+    @pytest.mark.parametrize(
+        "original,norm,scans",
+        [
+            ("Call 555 123 0147 Now", "call 555 123 0147 now", 1),
+            ("same text", "same text", 1),
+            ("", "", 1),
+            # U+212A lowers to an ASCII k, which the email class reads
+            ("ab@\u212ax.com", "ab@kx.com", 2),
+            ("\u0130o", "i\u0307o", 2),
+            ("a  b", "a b", 2),
+            ("a\x00b", "ab", 2),
+            ("\u00c9t\u00e9", "\u00e9t\u00e9", 2),
+        ],
+    )
+    def test_norm_text_scanned_only_past_ascii_case(self, original, norm, scans):
+        with mock.patch.object(extract, "_scan_text", wraps=extract._scan_text) as scan:
+            got = extract.extract_identifiers(None, original, norm)
+        assert scan.call_count == scans
+        assert got == extract_identifiers_ref(None, original, norm)
+
+    def test_kelvin_sign_email_found_by_the_norm_pass(self):
+        [email] = extract.extract_identifiers(None, "ab@\u212ax.com", "ab@kx.com")
+        assert (email.kind, email.canonical, email.start) == ("email", "ab@kx.com", None)
 
 
 class TestImportAnnotations:
