@@ -2,7 +2,9 @@
 
 Texts are first collapsed by exact normalized equality, then candidate
 pairs among the distinct texts come from minhash signatures bucketed in
-LSH bands, and only candidates are verified with true edit distance.
+LSH bands, and only candidates that pass a length filter and a shingle
+count bound are verified with true edit distance, in spanning-forest
+rounds.
 The numpy kernels behind them live in `kernels`, imported on first call,
 so the modules that import this one at load time do not load numpy.
 """
@@ -17,6 +19,11 @@ from typing import Mapping, Sequence
 from .corpus import NormalizedAd
 from .errors import ConfigError
 from .unionfind import UnionFind
+
+# below this many edges a round verifies pair by pair: one kernel call
+# costs about as much as two dozen scalar distances, whatever its size
+_BATCH_MIN = 24
+
 
 @dataclass(frozen=True)
 class SimilarityConfig:
@@ -43,21 +50,29 @@ class SimilarityConfig:
         return self.num_signatures // self.bands
 
 
-def _trim(a: str, b: str) -> tuple[str, str]:
-    """a and b without their common prefix and suffix.
+def _shared_ends(a: str, b: str) -> tuple[int, int]:
+    """The lengths of the common prefix and suffix of a and b.
 
-    Shared ends never change the edit distance. The suffix stops where
-    the prefix ends, so the two never overlap.
+    Shared ends never change the edit distance. Each length is found by
+    bisection over slice comparisons, which run in C. The suffix stops
+    where the prefix ends, so the two never overlap.
     """
-    n = min(len(a), len(b))
-    p = 0
-    while p < n and a[p] == b[p]:
-        p += 1
-    n -= p
-    s = 0
-    while s < n and a[-1 - s] == b[-1 - s]:
-        s += 1
-    return a[p : len(a) - s], b[p : len(b) - s]
+    la, lb = len(a), len(b)
+    p, hi = 0, min(la, lb)
+    while p < hi:  # a[:p] == b[:p], and the common prefix is at most hi
+        mid = (p + hi + 1) // 2
+        if a[p:mid] == b[p:mid]:
+            p = mid
+        else:
+            hi = mid - 1
+    s, hi = 0, min(la, lb) - p
+    while s < hi:
+        mid = (s + hi + 1) // 2
+        if a[la - mid : la - s] == b[lb - mid : lb - s]:
+            s = mid
+        else:
+            hi = mid - 1
+    return p, s
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -69,7 +84,8 @@ def levenshtein(a: str, b: str) -> int:
     """
     if a == b:
         return 0
-    a, b = _trim(a, b)
+    p, s = _shared_ends(a, b)
+    a, b = a[p : len(a) - s], b[p : len(b) - s]
     m = len(a)
     if m == 0:
         return len(b)
@@ -124,16 +140,24 @@ def similarities(pairs: Sequence[tuple[str, str]]) -> list[float]:
 def candidate_pairs(ads: Sequence[NormalizedAd], cfg: SimilarityConfig) -> set[tuple[str, str]]:
     """Unordered candidate pairs (id_a < id_b) worth verifying.
 
-    Texts of at least shingle_k chars go through minhash + banding; any
-    band collision makes a pair a candidate. Shorter texts are compared
-    by exact text equality only.
+    Texts of at least shingle_k chars go through minhash + banding
+    (kernels.band_keys, the enumeration deduplicate uses); any band
+    collision makes a pair a candidate. Shorter texts are compared by
+    exact text equality only.
     """
-    from .kernels import buckets, shingle_hashes_many
+    from .kernels import band_keys
 
     texts = [ad.norm_text for ad in ads]
-    shingles = shingle_hashes_many(texts, cfg.shingle_k)
+    n = len(ads)
+    keys = set(itertools.chain.from_iterable(band.tolist() for band in band_keys(texts, cfg)))
+    groups = [divmod(key, n) for key in keys]
+    short: dict[str, list[int]] = {}
+    for i, text in enumerate(texts):
+        if len(text) < cfg.shingle_k:
+            short.setdefault(text, []).append(i)
+    groups += [members for members in short.values() if len(members) > 1]
     pairs: set[tuple[str, str]] = set()
-    for members in buckets(texts, shingles, cfg):
+    for members in groups:
         pairs.update(itertools.combinations(sorted({ads[i].ad_id for i in members}), 2))
     return pairs
 
@@ -158,87 +182,61 @@ def deduplicate(
     and chain transitively. The canonical member is the earliest
     posted_at when given (ties, or no timestamps: lowest ad_id).
     """
-    from .kernels import buckets, shared_count, shingle_hashes_many
+    from .kernels import levenshtein_many, open_pairs
 
     cfg = cfg or SimilarityConfig()
     seen: set[str] = set()
+    groups: dict[str, list[str]] = {}
     for ad in ads:
         if ad.ad_id in seen:
             raise ValueError(f"duplicate ad_id {ad.ad_id!r} in dedup input")
         seen.add(ad.ad_id)
-
-    groups: dict[str, list[str]] = {}
-    by_id: dict[str, NormalizedAd] = {}
-    for ad in ads:
         groups.setdefault(ad.norm_text, []).append(ad.ad_id)
-        by_id[ad.ad_id] = ad
+    del seen  # freed before the filters' arrays are made
 
     def sort_key(ad_id: str):
         if posted_at is not None and ad_id in posted_at:
             return (0, posted_at[ad_id], ad_id)
         return (1, None, ad_id) if posted_at else (0, 0, ad_id)
 
-    reps: list[NormalizedAd] = []
-    for text in groups:
-        groups[text].sort()
-        rep_id = min(groups[text], key=sort_key)
-        reps.append(by_id[rep_id])
-    reps.sort(key=lambda ad: ad.ad_id)
-
-    threshold = cfg.dup_threshold
-    k = cfg.shingle_k
-    texts = [ad.norm_text for ad in reps]
-    shingles = shingle_hashes_many(texts, k)
-
-    def verified(a: int, b: int, longest: int) -> bool:
-        # One edit changes at most shingle_k members of a text's shingle
-        # set, so similarity >= threshold (edit distance <= d_allow)
-        # forces exact shingle-set Jaccard >= j_min. Measuring a Jaccard
-        # below that floor proves the pair fails verification, skipping
-        # the far costlier edit-distance computation; the bound is
-        # vacuous (lo <= 0) for loose thresholds and then never skips.
-        # Both texts have shingles: reps too short for any are distinct
-        # texts, so they never share a group.
-        sa, sb = shingles[a], shingles[b]
-        d_allow = (1.0 - threshold) * longest
-        m = float(max(sa.size, sb.size))
-        lo = m - k * d_allow
-        if lo > 0.0:
-            inter = shared_count(sa, sb)
-            union = sa.size + sb.size - inter
-            j_min = lo / (m + k * d_allow)
-            if inter / union < j_min - 1e-9:
-                return False
-        return 1.0 - levenshtein(texts[a], texts[b]) / longest >= threshold
+    # the distinct texts, in the ad_id order of their representatives
+    texts = [text for _, text in sorted((min(ids, key=sort_key), text) for text, ids in groups.items())]
 
     # Clusters are the transitive closure of verified candidate edges, so
-    # the order pairs are visited in cannot change them: a pair already
-    # connected needs no check, and a pair that failed once (in another
-    # band) fails again.
-    n = len(reps)
-    uf = UnionFind(range(n))
+    # any order that proves every edge between two final clusters false
+    # gives the same partition. Each round verifies a spanning forest of
+    # the open pairs over the current clusters, taking pairs in the order
+    # open_pairs gives (likeliest first): every pair it verifies is
+    # decided, and a pair whose ends a union joins needs no check.
+    threshold = cfg.dup_threshold
+    a, b = open_pairs(texts, cfg)
+    uf = UnionFind(range(len(texts)))
     find = uf.find
-    failed: set[int] = set()
-    for members in buckets(texts, shingles, cfg):
-        if len({find(i) for i in members}) == 1:
-            continue
-        for x, a in enumerate(members):
-            for b in members[x + 1 :]:
-                if find(a) == find(b):
-                    continue
-                # the length filter costs no more than a lookup in
-                # `failed`, so only the costlier verdicts are remembered
-                la, lb = len(texts[a]), len(texts[b])
-                longest = max(la, lb)
-                if 1.0 - abs(la - lb) / longest < threshold:
-                    continue
-                key = a * n + b
-                if key in failed:
-                    continue
-                if verified(a, b, longest):
-                    uf.union(a, b)
-                else:
-                    failed.add(key)
+    while a:
+        forest = UnionFind()
+        edges: list[tuple[int, int]] = []
+        rest_a: list[int] = []
+        rest_b: list[int] = []
+        for x, y in zip(a, b):
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                continue
+            forest.add(rx)
+            forest.add(ry)
+            if forest.union(rx, ry):
+                edges.append((x, y))
+            else:
+                rest_a.append(x)
+                rest_b.append(y)
+        strings = [(texts[x], texts[y]) for x, y in edges]
+        if len(strings) >= _BATCH_MIN:
+            dists = levenshtein_many(strings)
+        else:
+            dists = [levenshtein(s, t) for s, t in strings]
+        for (s, t), (x, y), d in zip(strings, edges, dists):
+            if 1.0 - d / max(len(s), len(t)) >= threshold:
+                uf.union(x, y)
+        a, b = rest_a, rest_b
 
     clusters: list[DuplicateCluster] = []
     for members in uf.groups().values():

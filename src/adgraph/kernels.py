@@ -1,5 +1,5 @@
 """The numpy kernels of dedup and pair scoring: shingle hashing, minhash
-banding and batched edit distance.
+banding, the candidate filters and batched edit distance.
 
 This is the package's only numpy import. `dedup` imports it on first
 call, so only the dedup and label-oad stages load numpy; every other
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dedup import SimilarityConfig, _trim
+from .dedup import SimilarityConfig, _shared_ends
 
 _U64 = np.uint64
 _HASH_BASE = _U64(1099511628211)
@@ -28,6 +28,7 @@ _BLOCK = 256
 _TABLE_PAIRS = 16
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_BITWISE_COUNT = getattr(np, "bitwise_count", None)  # numpy >= 2
 
 
 def levenshtein_many(pairs: Sequence[tuple[str, str]]) -> list[int]:
@@ -47,23 +48,31 @@ def levenshtein_many(pairs: Sequence[tuple[str, str]]) -> list[int]:
     distance equals levenshtein's.
     """
     out = [0] * len(pairs)
-    todo: list[tuple[int, str, str]] = []
+    # (longer middle's length, pair, shared prefix, shared suffix): the
+    # middles are sliced block by block, so only one block's copies live
+    todo: list[tuple[int, int, int, int]] = []
     for i, (a, b) in enumerate(pairs):
         if a == b:
             continue
-        a, b = _trim(a, b)
-        if len(a) > len(b):
-            a, b = b, a
-        if a:
-            todo.append((i, a, b))
+        p, s = _shared_ends(a, b)
+        m, n = len(a) - p - s, len(b) - p - s
+        if m and n:
+            todo.append((max(m, n), i, p, s))
         else:
-            out[i] = len(b)
+            out[i] = m + n
     # longest text first, so the pairs of a block still running are a prefix
-    todo.sort(key=lambda t: -len(t[2]))
+    todo.sort(key=lambda t: -t[0])
     for lo in range(0, len(todo), _BLOCK):
         block = todo[lo : lo + _BLOCK]
-        dists = _myers_block([t[1] for t in block], [t[2] for t in block])
-        for (i, _, _), d in zip(block, dists.tolist()):
+        patterns, texts = [], []
+        for _, i, p, s in block:
+            a, b = pairs[i]
+            a, b = a[p : len(a) - s], b[p : len(b) - s]
+            if len(a) > len(b):
+                a, b = b, a
+            patterns.append(a)
+            texts.append(b)
+        for (_, i, _, _), d in zip(block, _myers_block(patterns, texts).tolist()):
             out[i] = d
     return out
 
@@ -183,7 +192,9 @@ def _carry(s: np.ndarray, carry: np.ndarray, inner: np.ndarray) -> None:
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits per row of a 2-d uint64 array (np.bitwise_count needs numpy 2)."""
+    """Set bits per row of a 2-d uint64 array; a byte table before numpy 2."""
+    if _BITWISE_COUNT is not None:
+        return _BITWISE_COUNT(x).sum(axis=1, dtype=np.int64)
     return _POPCOUNT8[x.view(np.uint8)].sum(axis=1, dtype=np.int64)
 
 
@@ -249,9 +260,120 @@ def _shingle_pass(texts: Sequence[str], k: int) -> list[np.ndarray]:
     return [acc[lo:hi][keep[lo:hi]] for lo, hi in spans]
 
 
-def shared_count(a: np.ndarray, b: np.ndarray) -> int:
-    """How many hashes two shingle_hashes results share."""
-    return np.intersect1d(a, b, assume_unique=True).size
+# bins of a text's sketch, one bit each; texts sketched at once, and
+# pairs compared at once, which bound the transient arrays
+_SKETCH_BINS = 4096
+_SKETCH_ROWS = 64
+_SKETCH_PAIRS = 1024
+# texts whose shingles are hashed and signed at once, and candidate keys
+# length-filtered at once
+_SIGN_TEXTS = 256
+_FILTER_KEYS = 1 << 16
+
+
+def _count_sketch(texts: Sequence[str], k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per text: its bin counts capped at one bit, its excess, and its size.
+
+    A shingle hash falls in bin hash % _SKETCH_BINS. A bin's bit says
+    whether the text has a hash there; the excess is the hashes those
+    bits cannot show (size minus the set bits), so the bits plus the
+    excess account for all the text's distinct shingles.
+    """
+    words = (_SKETCH_BINS + 63) // 64
+    bits = np.zeros((len(texts), words), dtype=_U64)
+    excess = np.zeros(len(texts), dtype=np.int64)
+    sizes = np.zeros(len(texts), dtype=np.int64)
+    for lo in range(0, len(texts), _SKETCH_ROWS):
+        part = shingle_hashes_many(texts[lo : lo + _SKETCH_ROWS], k)
+        hi = lo + len(part)
+        sizes[lo:hi] = [arr.size for arr in part]
+        present = np.zeros((len(part), 64 * words), dtype=bool)
+        row = np.repeat(np.arange(len(part)), sizes[lo:hi])
+        present[row, (np.concatenate(part) % _U64(_SKETCH_BINS)).astype(np.intp)] = True
+        excess[lo:hi] = sizes[lo:hi] - present.sum(axis=1)
+        bits[lo:hi] = np.packbits(present, axis=1).view(_U64)
+    return bits, excess, sizes
+
+
+def sketch_shared_bound(texts: Sequence[str], keys: np.ndarray, k: int):
+    """Yield, _SKETCH_PAIRS keys at a time, for each pair (a, b) keyed
+    a * n + b (n texts) a bound on the shingle hashes a and b share, and
+    the sizes of a and b.
+
+    A hash two texts share falls in the same bin of both, so summed over
+    the bins, min(count_a, count_b) is at least what they share (the
+    q-gram count filter, Ukkonen 1992, on hashed q-grams). The counts
+    are held capped at one bit, which hides more only where a bin holds
+    more than one hash in both texts, and min(excess_a, excess_b) bounds
+    what those bins hide, so the bound stays exact. Only the texts of
+    these pairs are sketched.
+    """
+    n = len(texts)
+    used = np.zeros(n, dtype=bool)
+    used[keys // n] = True
+    used[keys % n] = True
+    row = np.cumsum(used) - 1
+    bits, excess, sizes = _count_sketch([texts[i] for i in np.flatnonzero(used).tolist()], k)
+    for lo in range(0, len(keys), _SKETCH_PAIRS):
+        a, b = np.divmod(keys[lo : lo + _SKETCH_PAIRS], n)
+        ra, rb = row[a], row[b]
+        yield _popcount(bits[ra] & bits[rb]) + np.minimum(excess[ra], excess[rb]), sizes[ra], sizes[rb]
+
+
+def open_pairs(texts: Sequence[str], cfg: SimilarityConfig) -> tuple[list[int], list[int]]:
+    """The candidate pairs (a[i], b[i]), a[i] < b[i], that neither filter
+    rejects, highest bound on their shingle-set Jaccard first.
+
+    Candidates are band_keys' pairs. The length filter drops a pair whose
+    lengths alone keep it below dup_threshold (edit distance is at least
+    the length difference), band by band, before the bands' keys are
+    merged. Then the count sketch drops a pair when even its bound on
+    shared shingles leaves the shingle-set Jaccard below the floor that
+    dup_threshold implies: one edit changes at most shingle_k members of
+    a text's shingle set, so edit distance <= d_allow forces Jaccard >=
+    j_min (vacuous, floor <= 0, for loose thresholds). The Jaccard grows
+    with the shared count, so a bound below the floor proves the exact
+    count is too. Both filters reject only pairs that edit distance
+    rejects. Ordered by their Jaccard bound, the pairs most likely to
+    verify come first.
+    """
+    n = len(texts)
+    k = cfg.shingle_k
+    threshold = cfg.dup_threshold
+    lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    kept = [np.empty(0, dtype=np.int64)]
+    for band in band_keys(texts, cfg):
+        for lo in range(0, len(band), _FILTER_KEYS):
+            keys = band[lo : lo + _FILTER_KEYS]
+            la, lb = lengths[keys // n], lengths[keys % n]
+            kept.append(keys[~(1.0 - np.abs(la - lb) / np.maximum(la, lb) < threshold)])
+    keys = np.concatenate(kept)
+    del kept
+    # sorted and distinct; np.unique without an inverse would import numpy.ma
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    del first
+    # the bound only orders the pairs, so single precision does
+    jaccard = np.empty(len(keys), dtype=np.float32)
+    keep = np.empty(len(keys), dtype=bool)
+    lo = 0
+    for shared, size_a, size_b in sketch_shared_bound(texts, keys, k):
+        hi = lo + len(shared)
+        a, b = np.divmod(keys[lo:hi], n)
+        d_allow = (1.0 - threshold) * np.maximum(lengths[a], lengths[b])
+        m = np.maximum(size_a, size_b).astype(np.float64)
+        floor = m - k * d_allow
+        j_min = floor / (m + k * d_allow)
+        bound = shared / (size_a + size_b - shared)
+        keep[lo:hi] = ~((floor > 0.0) & (bound < j_min - 1e-9))
+        jaccard[lo:hi] = bound
+        lo = hi
+    keys = keys[keep][np.argsort(-jaccard[keep], kind="stable")]
+    a, b = np.divmod(keys, n)
+    return a.tolist(), b.tolist()
 
 
 def _hash_params(cfg: SimilarityConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -265,46 +387,57 @@ def _hash_params(cfg: SimilarityConfig) -> tuple[np.ndarray, np.ndarray]:
 def _signature_matrix(shingles: Sequence[np.ndarray], cfg: SimilarityConfig) -> np.ndarray:
     """One minhash signature row per non-empty shingle array.
 
-    Each row is its own (shingles x num_signatures) product, so the
-    temporary stays the size of one text's shingle set.
+    Each row is its own (shingles x num_signatures) product, made in one
+    buffer the size of the largest, so the temporary stays the size of
+    one text's shingle set.
     """
     mult, add = _hash_params(cfg)
     sigs = np.empty((len(shingles), cfg.num_signatures), dtype=_U64)
+    buf = np.empty((max((arr.size for arr in shingles), default=0), cfg.num_signatures), dtype=_U64)
     for row, arr in zip(sigs, shingles):
-        np.min(arr[:, None] * mult + add, axis=0, out=row)
+        prod = buf[: arr.size]
+        np.multiply(arr[:, None], mult, out=prod)
+        prod += add
+        np.minimum.reduce(prod, axis=0, out=row)
     return sigs
 
 
-def buckets(texts: Sequence[str], shingles: Sequence[np.ndarray], cfg: SimilarityConfig):
-    """Yield each group (ascending indices, two or more) of candidate texts.
+def band_keys(texts: Sequence[str], cfg: SimilarityConfig):
+    """Yield, band by band, the candidate keys a * n + b (a < b) of n texts.
 
-    Texts with shingles go through minhash + banding: a group is the
-    texts whose signatures agree on every row of one band, found by
-    sorting the band's rows as fixed-width byte keys, so only exact
-    equality buckets. Texts without shingles (shorter than shingle_k)
-    group by exact text equality only. A pair may share many groups.
+    Texts of at least shingle_k chars go through minhash + banding: a
+    bucket is the texts whose signatures agree on every row of one band,
+    found by sorting the band's rows as fixed-width byte keys, so only
+    exact equality buckets. The pairs of all buckets of one size come
+    from one (buckets x size) table of members and its upper triangle.
+    A pair appears once per band it shares a bucket in; shorter texts
+    get no keys. Shingles are hashed _SIGN_TEXTS texts at a time and
+    only their signatures kept, and the signatures are freed once the
+    last band is yielded.
     """
-    long_ids: list[int] = []
-    short: dict[str, list[int]] = {}
-    for i, arr in enumerate(shingles):
-        if arr.size:
-            long_ids.append(i)
-        else:
-            short.setdefault(texts[i], []).append(i)
-    if len(long_ids) > 1:
-        sigs = _signature_matrix([shingles[i] for i in long_ids], cfg)
-        ids = np.array(long_ids, dtype=np.intp)
-        rows = cfg.rows_per_band
-        for band in range(cfg.bands):
-            keys = np.ascontiguousarray(sigs[:, band * rows : (band + 1) * rows])
-            keys = keys.view(np.dtype((np.void, keys.dtype.itemsize * rows))).ravel()
-            # stable, so members of a bucket stay in ascending index order
-            order = np.argsort(keys, kind="stable")
-            ordered = keys[order]
-            starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
-            for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
-                if hi - lo > 1:
-                    yield ids[order[lo:hi]].tolist()
-    for members in short.values():
-        if len(members) > 1:
-            yield members
+    n = len(texts)
+    ids = [i for i, text in enumerate(texts) if len(text) >= cfg.shingle_k]
+    if len(ids) < 2:
+        return
+    sigs = np.empty((len(ids), cfg.num_signatures), dtype=_U64)
+    for lo in range(0, len(ids), _SIGN_TEXTS):
+        part = [texts[i] for i in ids[lo : lo + _SIGN_TEXTS]]
+        sigs[lo : lo + len(part)] = _signature_matrix(shingle_hashes_many(part, cfg.shingle_k), cfg)
+    ids = np.array(ids, dtype=np.int64)
+    rows = cfg.rows_per_band
+    for band in range(cfg.bands):
+        keys = np.ascontiguousarray(sigs[:, band * rows : (band + 1) * rows])
+        keys = keys.view(np.dtype((np.void, keys.dtype.itemsize * rows))).ravel()
+        # stable, so members of a bucket stay in ascending index order
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+        del keys, ordered
+        sizes = np.diff(starts)
+        members = ids[order]
+        out = [np.empty(0, dtype=np.int64)]
+        for size in sorted(set(sizes[sizes > 1].tolist())):
+            table = members[starts[:-1][sizes == size][:, None] + np.arange(size)]
+            i, j = np.triu_indices(size, 1)
+            out.append((table[:, i] * n + table[:, j]).ravel())
+        yield np.concatenate(out)

@@ -101,8 +101,15 @@ def _identifiers_by_ad(path: Path) -> dict[str, list[Identifier]]:
 
 
 def _split_assignment(path: Path) -> dict[int, str]:
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return {int(cid): side for cid, side in data["components"].items()}
+    """The assignment _run_split wrote; PipelineError if it is not one."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise PipelineError(f"not valid json: {exc}") from exc
+    try:
+        return {int(cid): side for cid, side in data["components"].items()}
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise PipelineError(f"not a split: {exc!r}") from exc
 
 
 # how each artifact a stage reads is parsed; readers are looked up when

@@ -19,12 +19,6 @@ class UnionFind:
             self._parent[item] = item
             self._rank[item] = 0
 
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._parent
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
     def find(self, item: Hashable):
         parent = self._parent
         root = item

@@ -92,6 +92,15 @@ class TestErrors:
         assert "\n" not in error
         assert "graph.json" in error and "'graph'" in error and "--force" in error
 
+    @pytest.mark.parametrize("content", ['{"broken', '{"x":1}', "[]", '{"components": {"a": "train"}}'])
+    def test_corrupt_split_json_is_one_error_line(self, finished_workdir, caplog, content):
+        (finished_workdir / "split.json").write_text(content, encoding="utf-8")
+        caplog.clear()
+        assert run(["label-oad", "--workdir", str(finished_workdir), "--force"]) == 1
+        [error] = self.error_lines(caplog)
+        assert "\n" not in error
+        assert "split.json" in error and "'split'" in error and "--force" in error
+
     def test_row_without_timestamp_names_its_stage_and_force(self, finished_workdir, caplog):
         records = finished_workdir / "records.jsonl"
         rows = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adgraph import dedup, kernels
-from adgraph.corpus import NormalizedAd
+from adgraph.corpus import NormalizedAd, normalize
 from adgraph.errors import ConfigError
+from adgraph.synth import SynthSpec, generate_corpus
 
 from conftest import make_norm, ts
 from oracles import (
@@ -158,6 +159,16 @@ class TestLevenshteinMany:
     def test_pinned_carry_cases(self):
         pairs = self.CARRIES + [(b, a) for a, b in self.CARRIES]
         assert kernels.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
+
+    def test_popcount_byte_table_matches_bitwise_count(self):
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 2**64, size=(50, 7), dtype=np.uint64, endpoint=False)
+        x[0] = 0
+        x[1] = np.uint64(2**64 - 1)
+        want = [sum(bin(v).count("1") for v in row) for row in x.tolist()]
+        assert kernels._popcount(x).tolist() == want
+        with mock.patch.object(kernels, "_BITWISE_COUNT", None):
+            assert kernels._popcount(x).tolist() == want
 
     def test_empty_batch(self):
         assert kernels.levenshtein_many([]) == []
@@ -443,3 +454,140 @@ class TestDeduplicate:
         ads = [make_norm("a", base), make_norm("b", b), make_norm("c", c)]
         clusters = dedup.deduplicate(ads)
         assert len(clusters) == 1 and clusters[0].member_ids == ["a", "b", "c"]
+
+
+class TestSharedEnds:
+    @given(st.text("ab", max_size=12), st.text("ab", max_size=6), st.text("ab", max_size=6), st.text("ab", max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_character_walk(self, p, x, y, s):
+        a, b = p + x + s, p + y + s
+        n = min(len(a), len(b))
+        prefix = next((i for i in range(n) if a[i] != b[i]), n)
+        suffix = next((i for i in range(n - prefix) if a[-1 - i] != b[-1 - i]), n - prefix)
+        assert dedup._shared_ends(a, b) == (prefix, suffix)
+
+
+def _family_texts(seed, n_texts, bins_overflow):
+    """Texts in families of near copies; long ones when bins must overflow."""
+    rng = random.Random(seed)
+    texts = []
+    while len(texts) < n_texts:
+        size = rng.randint(1100, 1600) if bins_overflow else rng.randint(5, 200)
+        base = "".join(rng.choice("abcdefghijklmnopqrst ") for _ in range(size))
+        texts.append(base)
+        for _ in range(rng.randint(0, 2)):
+            texts.append(_mutate(rng, base, rng.randint(0, 40)))
+    return texts[:n_texts]
+
+
+class TestCountSketch:
+    """The sketch bound never undercounts the shingles two texts share."""
+
+    def _check(self, texts, k):
+        pairs = list(itertools.combinations(range(len(texts)), 2))
+        keys = np.array([x * len(texts) + y for x, y in pairs], dtype=np.int64)
+        bound, size_a, size_b = map(np.concatenate, zip(*kernels.sketch_shared_bound(texts, keys, k)))
+        sets = [set(shingle_hashes_ref(t, k)) for t in texts]
+        for i, (x, y) in enumerate(pairs):
+            assert bound[i] >= len(sets[x] & sets[y])
+            assert (size_a[i], size_b[i]) == (len(sets[x]), len(sets[y]))
+
+    @given(st.integers(0, 10**6), st.integers(2, 8), st.sampled_from((1, 3, 5)))
+    @settings(max_examples=100, deadline=None)
+    def test_bound_at_least_shared_count(self, seed, n_texts, k):
+        self._check(_family_texts(seed, n_texts, bins_overflow=False), k)
+
+    @given(st.integers(0, 10**6), st.integers(2, 5), st.integers(1, 4), st.integers(1, 3), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_bound_holds_when_bins_overflow(self, seed, n_texts, bins, rows, pairs):
+        # over 1000 shingles in at most 4 bins: every bin holds many
+        # hashes; small passes make texts and pairs straddle them
+        texts = _family_texts(seed, n_texts, bins_overflow=True)
+        with (
+            mock.patch.object(kernels, "_SKETCH_BINS", bins),
+            mock.patch.object(kernels, "_SKETCH_ROWS", rows),
+            mock.patch.object(kernels, "_SKETCH_PAIRS", pairs),
+        ):
+            self._check(texts, 5)
+
+
+def _spy_verifications(monkeypatch):
+    """Record every (a, b, distance) dedup verifies, batched or scalar."""
+    seen = []
+    many, one = kernels.levenshtein_many, dedup.levenshtein
+
+    def spy_many(pairs):
+        dists = many(pairs)
+        seen.extend((a, b, d) for (a, b), d in zip(pairs, dists))
+        return dists
+
+    def spy_one(a, b):
+        d = one(a, b)
+        seen.append((a, b, d))
+        return d
+
+    monkeypatch.setattr(kernels, "levenshtein_many", spy_many)
+    monkeypatch.setattr(dedup, "levenshtein", spy_one)
+    return seen
+
+
+class TestVerificationRounds:
+    def test_failed_forest_edge_is_repaired_in_a_second_round(self, monkeypatch):
+        # a~b and b~c verify, a~c does not, and all three are candidates
+        # that pass both filters. c rewrites one block of a, so (a, c) has
+        # the highest shingle overlap and is round 1's first forest edge;
+        # it fails, one of (a, b), (b, c) joins b, and only round 2 can
+        # join c through the other.
+        rng = random.Random(3)
+        a = _random_text(rng, 200)
+        c = a[:40] + "z" * 24 + a[64:]
+        b = list(a[:40] + "z" * 12 + a[52:])
+        for i in (100, 115, 130, 145, 160, 175):
+            b[i] = "y"
+        b = "".join(b)
+        texts = {"a": a, "b": b, "c": c}
+        assert similarity_ref(a, b) >= 0.9 and similarity_ref(b, c) >= 0.9
+        assert similarity_ref(a, c) < 0.9
+        ads = [NormalizedAd(ad_id, t, 0) for ad_id, t in texts.items()]
+        seen = _spy_verifications(monkeypatch)
+        got = {frozenset(cl.member_ids) for cl in dedup.deduplicate(ads)}
+        # a forest over three texts has at most two edges, so a third
+        # verification is a second round
+        assert seen[0][:2] == (a, c) and len(seen) == 3
+        assert {frozenset(pair[:2]) for pair in seen} == {frozenset(p) for p in itertools.combinations((a, b, c), 2)}
+        assert got == cluster_ref(texts, 0.9) == {frozenset(texts)}
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_accepted_verifications_are_texts_minus_clusters(self, monkeypatch, seed):
+        records, _ = generate_corpus(SynthSpec(n_ads=1500, n_components=120, dup_rate=0.9, seed=seed))
+        ads = [normalize(r) for r in records]
+        cfg = dedup.SimilarityConfig()
+        seen = _spy_verifications(monkeypatch)
+        clusters = dedup.deduplicate(ads, cfg)
+        accepted = [(a, b) for a, b, d in seen if 1.0 - d / max(len(a), len(b)) >= cfg.dup_threshold]
+        # every accepted verification joins two clusters, so none is spent
+        # on texts already joined, and no pair is verified twice
+        distinct = len({ad.norm_text for ad in ads})
+        assert len(accepted) == distinct - len(clusters) > 100
+        assert len({frozenset((a, b)) for a, b, _ in seen}) == len(seen)
+
+    def test_filters_keep_a_pair_at_the_length_floor(self):
+        # ten inserted chars: the lengths alone allow similarity 100/110,
+        # just over 0.9, and the pair verifies
+        rng = random.Random(9)
+        base = _random_text(rng, 100)
+        texts = [base, base[:50] + "q" * 10 + base[50:]]
+        assert similarity_ref(*texts) >= 0.9
+        assert kernels.open_pairs(texts, dedup.SimilarityConfig()) == ([0], [1])
+
+    @given(repost_corpora())
+    @settings(max_examples=100, deadline=None)
+    def test_filters_drop_only_pairs_that_fail(self, texts):
+        distinct = sorted(set(texts))
+        cfg = dedup.SimilarityConfig()
+        n = len(distinct)
+        candidates = {divmod(key, n) for band in kernels.band_keys(distinct, cfg) for key in band.tolist()}
+        kept = set(zip(*kernels.open_pairs(distinct, cfg)))
+        assert kept <= candidates
+        for x, y in candidates - kept:
+            assert similarity_ref(distinct[x], distinct[y]) < cfg.dup_threshold
