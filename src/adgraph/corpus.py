@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, is_dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, get_type_hints
 
@@ -328,21 +329,34 @@ def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
+# one encoder for every row: json.dumps with keyword arguments would
+# build a new one per call
+_encode_row = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+# rows per write, so a large artifact is never held as one string
+_WRITE_CHUNK_ROWS = 1024
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     """Write dicts as one JSON object per line, sorted keys, no ASCII escapes."""
+    rows = iter(rows)
     with atomic_open(path) as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
+        while chunk := list(islice(rows, _WRITE_CHUNK_ROWS)):
+            fh.write("\n".join(map(_encode_row, chunk)))
             fh.write("\n")
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
+    """Each non-blank line's JSON object; PipelineError at the first line that is not one."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    out.append(json.loads(line))
+                    obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise PipelineError(f"line {lineno} is not valid json") from exc
+                if not isinstance(obj, dict):
+                    raise PipelineError(f"line {lineno} is not a json object")
+                out.append(obj)
     return out

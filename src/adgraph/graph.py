@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -239,34 +238,61 @@ def _subgraph_view(graph: RelatednessGraph, component: int | None):
     return nodes, edges
 
 
+_GRAPHML_HEAD = """<?xml version='1.0' encoding='utf-8'?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key for="graph" id="d0" attr.name="materialization" attr.type="string" />
+  <key for="node" id="d1" attr.name="component" attr.type="int" />
+  <key for="edge" id="d2" attr.name="shared_identifiers" attr.type="string" />
+  <key for="node" id="d3" attr.name="ad_id" attr.type="string" />
+  <graph id="relatedness" edgedefault="undirected">
+"""
+
+
+def _xml_text(s: str) -> str:
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _xml_attr(s: str) -> str:
+    return (
+        _xml_text(s)
+        .replace('"', "&quot;")
+        .replace("\r", "&#13;")
+        .replace("\n", "&#10;")
+        .replace("\t", "&#09;")
+    )
+
+
+def _xml_data(indent: str, key: str, text: str) -> str:
+    # ElementTree's rendering: an element with empty text closes itself
+    if not text:
+        return f'{indent}<data key="{key}" />\n'
+    return f'{indent}<data key="{key}">{_xml_text(text)}</data>\n'
+
+
 def export_graphml(graph: RelatednessGraph, path: str | Path, component: int | None = None) -> None:
-    """Write GraphML with component and shared-identifier attributes."""
+    """Write GraphML with component and shared-identifier attributes.
+
+    The lines are formatted directly, indented and escaped as
+    ElementTree writes them.
+    """
     nodes, edges = _subgraph_view(graph, component)
-    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
-    for key_id, target, name, typ in (
-        ("d0", "graph", "materialization", "string"),
-        ("d1", "node", "component", "int"),
-        ("d2", "edge", "shared_identifiers", "string"),
-        ("d3", "node", "ad_id", "string"),
-    ):
-        ET.SubElement(root, "key", id=key_id, attrib={"for": target}, **{"attr.name": name, "attr.type": typ})
-    g = ET.SubElement(root, "graph", id="relatedness", edgedefault="undirected")
-    data = ET.SubElement(g, "data", key="d0")
-    data.text = graph.materialization
+    parts = [_GRAPHML_HEAD, _xml_data("    ", "d0", graph.materialization)]
     for node in nodes:
-        el = ET.SubElement(g, "node", id=node)
-        d = ET.SubElement(el, "data", key="d1")
-        d.text = str(graph.component_of[node])
-        d = ET.SubElement(el, "data", key="d3")
-        d.text = node
+        parts.append(f'    <node id="{_xml_attr(node)}">\n')
+        parts.append(_xml_data("      ", "d1", str(graph.component_of[node])))
+        parts.append(_xml_data("      ", "d3", node))
+        parts.append("    </node>\n")
     for idx, edge in enumerate(edges):
-        el = ET.SubElement(g, "edge", id=f"e{idx}", source=edge.a, target=edge.b)
-        d = ET.SubElement(el, "data", key="d2")
-        d.text = ";".join(edge.shared)
-    ET.indent(root)
+        parts.append(
+            f'    <edge id="e{idx}" source="{_xml_attr(edge.a)}" target="{_xml_attr(edge.b)}">\n'
+        )
+        parts.append(_xml_data("      ", "d2", ";".join(edge.shared)))
+        parts.append("    </edge>\n")
+    parts.append("  </graph>\n</graphml>\n")
     with atomic_open(path, binary=True) as fh:
-        ET.ElementTree(root).write(fh, encoding="utf-8", xml_declaration=True)
-        fh.write(b"\n")
+        # a character utf-8 cannot encode (a lone surrogate) becomes a
+        # character reference, as ElementTree writes it
+        fh.write("".join(parts).encode("utf-8", "xmlcharrefreplace"))
 
 
 def _dot_quote(s: str) -> str:

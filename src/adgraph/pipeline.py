@@ -94,7 +94,9 @@ def _rows(cls: type) -> Callable[[Path], list]:
 
 def _identifiers_by_ad(path: Path) -> dict[str, list[Identifier]]:
     out: dict[str, list[Identifier]] = {}
-    for row in corpus.read_jsonl(path):
+    for lineno, row in enumerate(corpus.read_jsonl(path), start=1):
+        if "ad_id" not in row:
+            raise PipelineError(f"row {lineno} has no ad_id")
         ad_id = row.pop("ad_id")
         out.setdefault(ad_id, []).append(from_row(Identifier, row))
     return out
@@ -126,12 +128,16 @@ PARSERS: dict[str, Callable[[Path], object]] = {
 
 
 class StageContext:
-    """Workdir paths plus each input artifact, parsed once.
+    """Workdir paths plus each input artifact, parsed at most once.
 
-    A parse is cached under the sha256 that `_check_inputs` computed for
-    the file, so a context shared by the stages of `run_all` parses each
-    artifact once and never serves a parse of bytes other than those the
-    manifests record. Stages must not mutate what `read` returns.
+    A stage hands what it wrote to `hand`, and `run_stage` keeps it under
+    the sha256 of the file it wrote; a parse is kept under the sha256
+    that `_check_inputs` computed for the file. Either is served only to
+    a reader whose input hashes the same, so a context shared by the
+    stages of `run_all` parses only artifacts written in another process
+    and never serves an object for bytes other than those the manifests
+    record. A handed object must equal what `PARSERS` makes of its file.
+    Stages must not mutate what `read` returns.
     """
 
     def __init__(self, cfg: PipelineConfig, force: bool = False):
@@ -141,6 +147,8 @@ class StageContext:
         # the running stage's input hashes, set by run_stage
         self.inputs: dict[str, str] = {}
         self.parsed: dict[tuple[str, str], object] = {}  # (artifact, sha256) -> parse
+        # the running stage's in-memory outputs, set by hand
+        self.handed: dict[str, object] = {}
 
     def path(self, artifact: str) -> Path:
         return self.workdir / ARTIFACTS[artifact]
@@ -165,6 +173,10 @@ class StageContext:
                     f"rerun '{producer}' with --force"
                 ) from exc
         return self.parsed[key]
+
+    def hand(self, artifact: str, obj) -> None:
+        """Offer later stages `obj`, the parse of the artifact just written."""
+        self.handed[artifact] = obj
 
     def write_json(self, artifact: str, obj: dict) -> None:
         with atomic_open(self.path(artifact)) as fh:
@@ -199,6 +211,8 @@ def _run_ingest(ctx: StageContext) -> None:
     corpus.write_jsonl(ctx.path("records"), map(to_row, records))
     corpus.write_jsonl(ctx.path("rejects"), map(to_row, rejects))
     corpus.write_jsonl(ctx.path("normalized"), map(to_row, normalized))
+    ctx.hand("records", records)
+    ctx.hand("normalized", normalized)
     log.info("ingested %d records, rejected %d", len(records), len(rejects))
 
 
@@ -206,6 +220,7 @@ def _run_dedup(ctx: StageContext) -> None:
     posted = {r.ad_id: r.posted_at for r in ctx.read("records")}
     clusters = dedup.deduplicate(ctx.read("normalized"), ctx.cfg.similarity(), posted)
     corpus.write_jsonl(ctx.path("clusters"), map(to_row, clusters))
+    ctx.hand("clusters", clusters)
     near = sum(1 for c in clusters if c.method == "near")
     log.info("%d clusters (%d near-duplicate)", len(clusters), near)
 
@@ -233,13 +248,15 @@ def _run_extract(ctx: StageContext) -> None:
                 ids_by_ad.get(ad_id, []), idents
             )
 
-    rows = []
-    for ad_id in sorted(ids_by_ad):
-        for ident in ids_by_ad[ad_id]:
-            rows.append({"ad_id": ad_id, **to_row(ident)})
-    corpus.write_jsonl(ctx.path("identifiers"), rows)
+    # what _identifiers_by_ad reads back: ads with identifiers, in ad_id order
+    found_by_ad = {ad_id: ids_by_ad[ad_id] for ad_id in sorted(ids_by_ad) if ids_by_ad[ad_id]}
+    corpus.write_jsonl(
+        ctx.path("identifiers"),
+        ({"ad_id": ad_id, **to_row(ident)} for ad_id, ids in found_by_ad.items() for ident in ids),
+    )
     corpus.write_jsonl(ctx.path("annotation_rejects"), map(to_row, ann_rejects))
-    log.info("%d identifiers across %d ads", len(rows), sum(1 for v in ids_by_ad.values() if v))
+    ctx.hand("identifiers", found_by_ad)
+    log.info("%d identifiers across %d ads", sum(map(len, found_by_ad.values())), len(found_by_ad))
 
 
 def _run_graph(ctx: StageContext) -> None:
@@ -289,6 +306,7 @@ def _run_label_oad(ctx: StageContext) -> None:
 def _run_label_htrp(ctx: StageContext) -> None:
     labels = label_htrp(ctx.read("graph"), ctx.cfg.gazetteer(), ctx.cfg.labeling())
     corpus.write_jsonl(ctx.path("htrp_labels"), map(to_row, labels))
+    ctx.hand("htrp_labels", labels)
     pos = sum(a.label for a in labels)
     log.info("%d ads labeled, %d positive", len(labels), pos)
 
@@ -452,10 +470,14 @@ def manifest_path(workdir: Path, stage: str) -> Path:
 
 
 def _read_manifest(path: Path) -> dict | None:
+    """The manifest at path; None if it is missing or not a manifest's shape."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        man = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, OSError):
         return None
+    if isinstance(man, dict) and all(isinstance(man.get(k, {}), dict) for k in ("inputs", "outputs")):
+        return man
+    return None
 
 
 def _external_inputs(name: str, cfg: PipelineConfig) -> dict[str, Path]:
@@ -537,6 +559,7 @@ def run_stage(
         return {"stage": name, "seconds": time.perf_counter() - start, "ran": False}
 
     ctx.inputs = input_hashes
+    ctx.handed = {}
     stage.fn(ctx)
 
     outputs = {}
@@ -545,6 +568,9 @@ def run_stage(
         if not p.exists():
             raise PipelineError(f"stage '{name}' did not write {p.name}")
         outputs[art] = _sha256_file(p)
+    for art, obj in ctx.handed.items():
+        ctx.parsed[(art, outputs[art])] = obj
+    ctx.handed = {}
     manifest = {
         "stage": name,
         "version": __version__,

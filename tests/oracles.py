@@ -11,6 +11,7 @@ import bisect
 import itertools
 import math
 import re
+import xml.etree.ElementTree as ET
 from collections import deque
 
 from adgraph import extract
@@ -305,3 +306,38 @@ def extract_identifiers_ref(declared_phone, original_text: str, norm_text: str):
             extract.Identifier("phone", declared_phone, c) for c in extract._phones(declared_phone)
         ]
     return extract.merge_identifiers(original_pass, norm_pass, declared_pass)
+
+
+def export_graphml_ref(graph, path, component=None) -> None:
+    """GraphML serialized by ElementTree; graph.export_graphml must write
+    the same bytes."""
+    nodes, edges = graph.nodes, graph.edges
+    if component is not None:
+        keep = set(graph.components[component])
+        nodes = [n for n in nodes if n in keep]
+        edges = [e for e in edges if e.a in keep and e.b in keep]
+    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+    for key_id, target, name, typ in (
+        ("d0", "graph", "materialization", "string"),
+        ("d1", "node", "component", "int"),
+        ("d2", "edge", "shared_identifiers", "string"),
+        ("d3", "node", "ad_id", "string"),
+    ):
+        ET.SubElement(root, "key", id=key_id, attrib={"for": target}, **{"attr.name": name, "attr.type": typ})
+    g = ET.SubElement(root, "graph", id="relatedness", edgedefault="undirected")
+    data = ET.SubElement(g, "data", key="d0")
+    data.text = graph.materialization
+    for node in nodes:
+        el = ET.SubElement(g, "node", id=node)
+        d = ET.SubElement(el, "data", key="d1")
+        d.text = str(graph.component_of[node])
+        d = ET.SubElement(el, "data", key="d3")
+        d.text = node
+    for idx, edge in enumerate(edges):
+        el = ET.SubElement(g, "edge", id=f"e{idx}", source=edge.a, target=edge.b)
+        d = ET.SubElement(el, "data", key="d2")
+        d.text = ";".join(edge.shared)
+    ET.indent(root)
+    with open(path, "wb") as fh:
+        ET.ElementTree(root).write(fh, encoding="utf-8", xml_declaration=True)
+        fh.write(b"\n")

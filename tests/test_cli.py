@@ -101,6 +101,18 @@ class TestErrors:
         assert "\n" not in error
         assert "split.json" in error and "'split'" in error and "--force" in error
 
+    @pytest.mark.parametrize(
+        "line", ['{"kind": "phone", "raw": "x", "canonical": "2125550100"}', "[1, 2]"]
+    )
+    def test_bad_identifiers_row_is_one_error_line(self, finished_workdir, caplog, line):
+        identifiers = finished_workdir / "identifiers.jsonl"
+        identifiers.write_text(identifiers.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        caplog.clear()
+        assert run(["graph", "--workdir", str(finished_workdir), "--force"]) == 1
+        [error] = self.error_lines(caplog)
+        assert "\n" not in error
+        assert "identifiers.jsonl" in error and "'extract'" in error and "--force" in error
+
     def test_row_without_timestamp_names_its_stage_and_force(self, finished_workdir, caplog):
         records = finished_workdir / "records.jsonl"
         rows = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adgraph import graph as g
 from adgraph.dedup import DuplicateCluster
 from adgraph.extract import Identifier
 
-from oracles import components_ref
+from oracles import components_ref, export_graphml_ref
 
 
 def cluster(canonical, members=None):
@@ -207,3 +209,60 @@ class TestSerialization:
         built = g.build_graph([cluster("a")], {})
         with pytest.raises(ValueError):
             g.export_dot(built, tmp_path / "x.dot", component=9)
+
+
+# markup, quotes, whitespace that attributes escape, emoji, control
+# characters and a lone surrogate, mixed into arbitrary text
+_XML_HOSTILE = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("&<>\"'\t\n\r; \x00\x01\x1b\x7f\x85\u2028\U0001F600\ud800"),
+        st.characters(),
+    ),
+    max_size=8,
+)
+
+
+@st.composite
+def _hostile_graphs(draw):
+    ads = draw(st.lists(_XML_HOSTILE, unique=True, max_size=8))
+    keys = draw(st.lists(_XML_HOSTILE, max_size=4))
+    pick = st.lists(st.sampled_from(keys), max_size=3) if keys else st.just([])
+    ids_by_ad = {ad: [Identifier("phone", k, k) for k in draw(pick)] for ad in ads}
+    built = g.build_graph([cluster(ad) for ad in ads], ids_by_ad)
+    component = draw(st.none() | st.sampled_from(sorted(built.components))) if built.components else None
+    return built, component
+
+
+class TestGraphmlWriter:
+    """export_graphml formats its lines itself; the bytes must be ElementTree's."""
+
+    @given(_hostile_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_elementtree(self, tmp_path_factory, drawn):
+        built, component = drawn
+        tmp = tmp_path_factory.mktemp("graphml")
+        g.export_graphml(built, tmp / "new.graphml", component=component)
+        export_graphml_ref(built, tmp / "ref.graphml", component=component)
+        assert (tmp / "new.graphml").read_bytes() == (tmp / "ref.graphml").read_bytes()
+
+    def test_empty_texts_close_themselves_as_in_elementtree(self, tmp_path):
+        # no built graph has an edge without identifiers or an empty ad_id,
+        # but the writer must still render them as ElementTree does
+        built = g.RelatednessGraph(
+            nodes=["", "a"],
+            edges=[g.GraphEdge("", "a", [])],
+            component_of={"": 0, "a": 0},
+            components={0: ["", "a"]},
+        )
+        g.export_graphml(built, tmp_path / "new.graphml")
+        export_graphml_ref(built, tmp_path / "ref.graphml")
+        new = (tmp_path / "new.graphml").read_bytes()
+        assert new == (tmp_path / "ref.graphml").read_bytes()
+        assert b'<data key="d2" />' in new and b'<data key="d3" />' in new
+
+    def test_graph_without_edges(self, tmp_path):
+        built = g.build_graph([cluster("a"), cluster("b")], {})
+        assert not built.edges
+        g.export_graphml(built, tmp_path / "new.graphml")
+        export_graphml_ref(built, tmp_path / "ref.graphml")
+        assert (tmp_path / "new.graphml").read_bytes() == (tmp_path / "ref.graphml").read_bytes()

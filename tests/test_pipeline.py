@@ -171,6 +171,28 @@ class TestStaleness:
         with pytest.raises(PipelineError, match="no manifest"):
             run_stage("dedup", cfg)
 
+    @pytest.mark.parametrize("content", ["[]", '"x"', '{"outputs": []}', '{"outputs": {}, "inputs": 1}'])
+    def test_malformed_producer_manifest_is_no_manifest(self, prepared, content):
+        (prepared.workdir / "manifests" / "ingest.json").write_text(content, encoding="utf-8")
+        with pytest.raises(PipelineError, match="no manifest from stage 'ingest'"):
+            run_stage("dedup", prepared)
+
+    @pytest.mark.parametrize("broken", ["[]", '"x"', "outputs as a list", "inputs as a list"])
+    def test_malformed_own_manifest_reruns_the_stage(self, prepared, broken):
+        assert run_stage("dedup", prepared)["ran"]
+        path = prepared.workdir / "manifests" / "dedup.json"
+        man = json.loads(path.read_text(encoding="utf-8"))
+        if broken.endswith("as a list"):
+            # the right names in the wrong shape
+            key = broken.split()[0]
+            man[key] = sorted(man[key])
+            content = json.dumps(man)
+        else:
+            content = broken
+        path.write_text(content, encoding="utf-8")
+        assert run_stage("dedup", prepared)["ran"]
+        assert not run_stage("dedup", prepared)["ran"]
+
     def test_force_bypasses_staleness(self, prepared):
         cfg = prepared
         (cfg.workdir / "manifests" / "ingest.json").unlink()
@@ -363,11 +385,8 @@ class TestOneContextPerChain:
         monkeypatch.setattr(corpus, "read_jsonl", counted(corpus.read_jsonl))
         monkeypatch.setattr(pipeline, "read_graph_json", counted(pipeline.read_graph_json))
         assert all(r["ran"] for r in run_all(cfg))
-        assert set(parses) == {
-            "records.jsonl", "normalized.jsonl", "clusters.jsonl",
-            "identifiers.jsonl", "graph.json", "htrp_labels.jsonl",
-        }
-        assert max(parses.values()) == 1, parses
+        # every other artifact a stage reads was handed over by its writer
+        assert parses == {"graph.json": 1}
 
     def test_stage_by_stage_writes_what_run_all_writes(self, full_run, tmp_path):
         # a stage that mutated a parse shared through run_all's context
@@ -377,6 +396,95 @@ class TestOneContextPerChain:
         for name in ALL_CHAIN:
             assert run_stage(name, cfg)["ran"]
         assert artifact_bytes(tmp_path / "w") == artifact_bytes(full_run[0])
+
+
+# small corpora of perfbench's three workload shapes; relabel reruns a
+# finished distinct chain under new HTRP thresholds
+HANDOFF_SHAPES = {
+    "reposted": (
+        ["synth.n_ads=400", "synth.dup_rate=0.9", "synth.n_components=32", "synth.obfuscation_rate=0.5"],
+        None,
+    ),
+    "distinct": (
+        ["synth.n_ads=300", "synth.dup_rate=0.0", "synth.n_components=60", "synth.obfuscation_rate=1.0"],
+        None,
+    ),
+    "relabel": (
+        ["synth.n_ads=200", "synth.dup_rate=0.0", "synth.n_components=40", "synth.obfuscation_rate=1.0"],
+        ["label.distance_threshold_miles=690", "label.phone_count_threshold=4"],
+    ),
+}
+
+
+class TestHandOff:
+    @staticmethod
+    def handed_during(cfg, monkeypatch) -> list[tuple[str, object]]:
+        """run_all on cfg; every (artifact, object) a stage handed over."""
+        handed = []
+        hand = pipeline.StageContext.hand
+
+        def recording(ctx, artifact, obj):
+            handed.append((artifact, obj))
+            hand(ctx, artifact, obj)
+
+        with monkeypatch.context() as m:
+            m.setattr(pipeline.StageContext, "hand", recording)
+            run_all(cfg)
+        return handed
+
+    @pytest.mark.parametrize("shape", sorted(HANDOFF_SHAPES))
+    def test_every_handed_object_equals_the_parse_of_its_file(self, shape, tmp_path, monkeypatch):
+        synth, relabel = HANDOFF_SHAPES[shape]
+        cfg = make_cfg(tmp_path / "w", synth)
+        run_stage("synth", cfg)
+        handed = self.handed_during(cfg, monkeypatch)
+        if relabel is not None:
+            cfg = make_cfg(tmp_path / "w", synth + relabel)
+            handed = self.handed_during(cfg, monkeypatch)
+            assert [art for art, _ in handed] == ["htrp_labels"]
+        else:
+            assert sorted(art for art, _ in handed) == [
+                "clusters", "htrp_labels", "identifiers", "normalized", "records",
+            ]
+        for art, obj in handed:
+            assert repr(obj) == repr(pipeline.PARSERS[art](cfg.workdir / ARTIFACTS[art])), art
+
+    def test_annotated_identifiers_equal_the_parse_of_their_file(self, tmp_path, monkeypatch):
+        ads = [
+            corpus_row("a1", "call 212 555 0100 now"),
+            corpus_row("a2", "nothing to see"),
+            corpus_row("a3", "nothing here either"),
+        ]
+        corpus_path = write_corpus(tmp_path / "corpus.jsonl", ads)
+        # merged with what extraction found on a1; rejected on a2
+        notes = tmp_path / "annotations.jsonl"
+        notes.write_text(
+            '{"ad_id": "a1", "spans": [{"start": 0, "end": 17, "label": "phone"}]}\n'
+            '{"ad_id": "a2", "spans": [{"start": 0, "end": 7, "label": "email"}]}\n',
+            encoding="utf-8",
+        )
+        cfg = make_cfg(
+            tmp_path / "w", [f"corpus.path={corpus_path}", f"corpus.annotations={notes}"]
+        )
+        handed = dict(self.handed_during(cfg, monkeypatch))
+        parsed = pipeline.PARSERS["identifiers"](cfg.workdir / ARTIFACTS["identifiers"])
+        assert set(parsed) == {"a1"}
+        assert len(read_jsonl(cfg.workdir / ARTIFACTS["annotation_rejects"])) == 1
+        assert repr(handed["identifiers"]) == repr(parsed)
+
+    def test_a_handed_object_is_served_only_for_the_bytes_it_was_written_as(self, tmp_path):
+        cfg = make_cfg(tmp_path / "w")
+        run_stage("synth", cfg)
+        ctx = pipeline.StageContext(cfg)
+        run_stage("ingest", cfg, ctx=ctx)
+        path = ctx.path("normalized")
+        ctx.inputs = {"normalized": pipeline._sha256_file(path)}
+        assert ctx.read("normalized")[0].norm_text != "edited"
+        rows = read_jsonl(path)
+        rows[0]["norm_text"] = "edited"
+        corpus.write_jsonl(path, rows)
+        ctx.inputs = {"normalized": pipeline._sha256_file(path)}
+        assert ctx.read("normalized")[0].norm_text == "edited"
 
 
 class TestAtomicWrites:

@@ -1,4 +1,5 @@
-"""Start-up guard: numpy loads only in the stages that compute with it.
+"""Start-up guard: numpy loads only in the stages that compute with it,
+and ElementTree not at all.
 
 Each check runs in a fresh interpreter, because this process has numpy
 loaded already, and reads which modules that interpreter ended with.
@@ -57,6 +58,8 @@ def test_importing_the_cli_loads_every_traced_module_and_no_numpy():
     assert {f"adgraph.{m}" for m in TRACED} <= loaded
     assert "numpy" not in loaded
     assert "concurrent.futures.process" not in loaded
+    # export_graphml formats its lines itself
+    assert not {m for m in loaded if m.startswith("xml.etree")}
 
 
 def test_synth_loads_no_numpy(tmp_path):
@@ -67,6 +70,7 @@ def test_a_cold_chain_loads_numpy(base_chain):
     _, loaded = base_chain
     assert "numpy" in loaded
     assert "adgraph.kernels" in loaded
+    assert not {m for m in loaded if m.startswith("xml.etree")}
 
 
 def test_relabel_and_up_to_date_reruns_load_no_numpy(base_chain):
