@@ -102,18 +102,29 @@ def _set_dotted(cfg: dict, dotted: str, value: Any) -> None:
     _merge(cfg, value)
 
 
+def _lookup(cfg_dict: dict, dotted: str) -> Any:
+    for key in dotted.split("."):
+        cfg_dict = cfg_dict[key]
+    return cfg_dict
+
+
+# keys whose default is null, so _merge cannot check them against it
+_NULLABLE = {
+    "corpus.path": str,
+    "corpus.annotations": str,
+    "gazetteer": str,
+    "graph.quarantine_cap": int,
+    "export.component": int,
+}
+
+
 def config_hash(cfg_dict: dict, keys: Iterable[str]) -> str:
     """Content hash over the values of the given dotted keys.
 
     A key may name a leaf ("label.split_ratio") or a whole section
     ("dedup"); the hash changes exactly when one of those values does.
     """
-    picked = {}
-    for dotted in keys:
-        node = cfg_dict
-        for key in dotted.split("."):
-            node = node[key]
-        picked[dotted] = node
+    picked = {dotted: _lookup(cfg_dict, dotted) for dotted in keys}
     canon = json.dumps(picked, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -205,6 +216,10 @@ class PipelineConfig:
             raise ConfigError("threads: must be >= 1")
         if self.corpus_format not in ("jsonl", "csv"):
             raise ConfigError("corpus.format: must be jsonl or csv")
+        for dotted, want in _NULLABLE.items():
+            value = _lookup(self.raw, dotted)
+            if value is not None and (not isinstance(value, want) or isinstance(value, bool)):
+                raise ConfigError(f"{dotted}: expected {want.__name__} or null")
         cap = self.quarantine_cap
         if cap is not None and cap < 2:
             raise ConfigError("graph.quarantine_cap: must be >= 2 or null")

@@ -3,15 +3,13 @@
 Texts are first collapsed by exact normalized equality, then candidate
 pairs among the distinct texts come from minhash signatures bucketed in
 LSH bands, and only candidates that pass a length filter and a shingle
-count bound are verified with true edit distance, in spanning-forest
-rounds.
+count bound are verified with true edit distance, in two passes.
 The numpy kernels behind them live in `kernels`, imported on first call,
 so the modules that import this one at load time do not load numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Mapping, Sequence
@@ -19,10 +17,6 @@ from typing import Mapping, Sequence
 from .corpus import NormalizedAd
 from .errors import ConfigError
 from .unionfind import UnionFind
-
-# below this many edges a round verifies pair by pair: one kernel call
-# costs about as much as two dozen scalar distances, whatever its size
-_BATCH_MIN = 24
 
 
 @dataclass(frozen=True)
@@ -50,84 +44,10 @@ class SimilarityConfig:
         return self.num_signatures // self.bands
 
 
-def _shared_ends(a: str, b: str) -> tuple[int, int]:
-    """The lengths of the common prefix and suffix of a and b.
-
-    Shared ends never change the edit distance. Each length is found by
-    bisection over slice comparisons, which run in C. The suffix stops
-    where the prefix ends, so the two never overlap.
-    """
-    la, lb = len(a), len(b)
-    p, hi = 0, min(la, lb)
-    while p < hi:  # a[:p] == b[:p], and the common prefix is at most hi
-        mid = (p + hi + 1) // 2
-        if a[p:mid] == b[p:mid]:
-            p = mid
-        else:
-            hi = mid - 1
-    s, hi = 0, min(la, lb) - p
-    while s < hi:
-        mid = (s + hi + 1) // 2
-        if a[la - mid : la - s] == b[lb - mid : lb - s]:
-            s = mid
-        else:
-            hi = mid - 1
-    return p, s
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Exact edit distance (insert, delete, substitute all cost 1).
-
-    Myers' bit-parallel formulation; Python integers serve as unbounded
-    bit vectors so long strings need no blocking. The loop runs only
-    over the middle left once the common prefix and suffix are trimmed.
-    """
-    if a == b:
-        return 0
-    p, s = _shared_ends(a, b)
-    a, b = a[p : len(a) - s], b[p : len(b) - s]
-    m = len(a)
-    if m == 0:
-        return len(b)
-    if not b:
-        return m
-    peq: dict[str, int] = {}
-    for i, ch in enumerate(a):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
-    mask = (1 << m) - 1
-    high = 1 << (m - 1)
-    vp, vn, score = mask, 0, m
-    get = peq.get
-    for ch in b:
-        eq = get(ch, 0)
-        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-        hp = vn | (~(d0 | vp) & mask)
-        hn = vp & d0
-        if hp & high:
-            score += 1
-        elif hn & high:
-            score -= 1
-        hp = ((hp << 1) | 1) & mask
-        hn = (hn << 1) & mask
-        vp = hn | (~(d0 | hp) & mask)
-        vn = hp & d0
-    return score
-
-
-def similarity(a: str, b: str) -> float:
-    """1 - levenshtein/max(len); two empty strings count as identical."""
-    if not a and not b:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / max(len(a), len(b))
-
-
 def similarities(pairs: Sequence[tuple[str, str]]) -> list[float]:
-    """similarity(a, b) for every pair, in input order.
-
-    The distances come from kernels.levenshtein_many, which equals
-    levenshtein on every pair, and each is turned into a float by the
-    same expression as similarity, so every float is the one similarity
-    returns.
+    """1 - edit distance / max(len) for every pair, in input order; two
+    empty strings count as identical. The distances come from
+    kernels.levenshtein_many.
     """
     from .kernels import levenshtein_many
 
@@ -135,31 +55,6 @@ def similarities(pairs: Sequence[tuple[str, str]]) -> list[float]:
         1.0 - d / max(len(a), len(b)) if a or b else 1.0
         for (a, b), d in zip(pairs, levenshtein_many(pairs))
     ]
-
-
-def candidate_pairs(ads: Sequence[NormalizedAd], cfg: SimilarityConfig) -> set[tuple[str, str]]:
-    """Unordered candidate pairs (id_a < id_b) worth verifying.
-
-    Texts of at least shingle_k chars go through minhash + banding
-    (kernels.band_keys, the enumeration deduplicate uses); any band
-    collision makes a pair a candidate. Shorter texts are compared by
-    exact text equality only.
-    """
-    from .kernels import band_keys
-
-    texts = [ad.norm_text for ad in ads]
-    n = len(ads)
-    keys = set(itertools.chain.from_iterable(band.tolist() for band in band_keys(texts, cfg)))
-    groups = [divmod(key, n) for key in keys]
-    short: dict[str, list[int]] = {}
-    for i, text in enumerate(texts):
-        if len(text) < cfg.shingle_k:
-            short.setdefault(text, []).append(i)
-    groups += [members for members in short.values() if len(members) > 1]
-    pairs: set[tuple[str, str]] = set()
-    for members in groups:
-        pairs.update(itertools.combinations(sorted({ads[i].ad_id for i in members}), 2))
-    return pairs
 
 
 @dataclass
@@ -204,39 +99,28 @@ def deduplicate(
 
     # Clusters are the transitive closure of verified candidate edges, so
     # any order that proves every edge between two final clusters false
-    # gives the same partition. Each round verifies a spanning forest of
-    # the open pairs over the current clusters, taking pairs in the order
-    # open_pairs gives (likeliest first): every pair it verifies is
-    # decided, and a pair whose ends a union joins needs no check.
+    # gives the same partition. Pass 1 verifies a spanning forest of the
+    # open pairs, taken in the order open_pairs gives (likeliest first).
+    # Pass 2 verifies every other open pair whose texts pass 1 left in
+    # two clusters; a pair whose texts already share one needs no check.
     threshold = cfg.dup_threshold
-    a, b = open_pairs(texts, cfg)
     uf = UnionFind(range(len(texts)))
-    find = uf.find
-    while a:
-        forest = UnionFind()
-        edges: list[tuple[int, int]] = []
-        rest_a: list[int] = []
-        rest_b: list[int] = []
-        for x, y in zip(a, b):
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                continue
-            forest.add(rx)
-            forest.add(ry)
-            if forest.union(rx, ry):
-                edges.append((x, y))
-            else:
-                rest_a.append(x)
-                rest_b.append(y)
+
+    def verify(edges: list[tuple[int, int]]) -> None:
         strings = [(texts[x], texts[y]) for x, y in edges]
-        if len(strings) >= _BATCH_MIN:
-            dists = levenshtein_many(strings)
-        else:
-            dists = [levenshtein(s, t) for s, t in strings]
-        for (s, t), (x, y), d in zip(strings, edges, dists):
+        for (s, t), (x, y), d in zip(strings, edges, levenshtein_many(strings)):
             if 1.0 - d / max(len(s), len(t)) >= threshold:
                 uf.union(x, y)
-        a, b = rest_a, rest_b
+
+    forest = UnionFind()
+    edges: list[tuple[int, int]] = []
+    rest: list[tuple[int, int]] = []
+    for x, y in zip(*open_pairs(texts, cfg)):
+        forest.add(x)
+        forest.add(y)
+        (edges if forest.union(x, y) else rest).append((x, y))
+    verify(edges)
+    verify([(x, y) for x, y in rest if uf.find(x) != uf.find(y)])
 
     clusters: list[DuplicateCluster] = []
     for members in uf.groups().values():

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dedup import SimilarityConfig, _shared_ends
+from .dedup import SimilarityConfig
 
 _U64 = np.uint64
 _HASH_BASE = _U64(1099511628211)
@@ -32,20 +32,20 @@ _BITWISE_COUNT = getattr(np, "bitwise_count", None)  # numpy >= 2
 
 
 def levenshtein_many(pairs: Sequence[tuple[str, str]]) -> list[int]:
-    """dedup.levenshtein(a, b) for every pair, in input order.
+    """The exact edit distance (insert, delete, substitute all cost 1) of
+    every pair, in input order.
 
-    Myers' recurrence run for many pairs at once, each bit vector split
-    into 64-bit words (Hyyro 2003). A pair's common prefix and suffix
-    are trimmed as in levenshtein, and the shorter middle is the
-    pattern. Pairs, longest text first, go in blocks of _BLOCK, and a
-    block's pairs advance one text column at a time as rows of
-    (pairs x words) uint64 arrays, the addition and both left shifts
-    carrying between words. Bits above a pattern's length only ever
+    Myers' bit-parallel recurrence (1999) run for many pairs at once,
+    each bit vector split into 64-bit words (Hyyro 2003). A pair's common
+    prefix and suffix never change its distance, so they are trimmed
+    (_shared_ends), and the shorter middle is the pattern. Pairs,
+    longest text first, go in blocks of _BLOCK, and a block's pairs
+    advance one text column at a time as rows of (pairs x words) uint64
+    arrays, the addition and both left shifts carrying between words. Bits above a pattern's length only ever
     feed higher bits, so they never reach the result. The last DP row
     is len(text) plus the pattern column's vertical deltas, so each
     distance is len(text) + popcount(VP) - popcount(VN) over the
-    pattern's bits. All of it is exact integer arithmetic, so every
-    distance equals levenshtein's.
+    pattern's bits. All of it is exact integer arithmetic.
     """
     out = [0] * len(pairs)
     # (longer middle's length, pair, shared prefix, shared suffix): the
@@ -75,6 +75,31 @@ def levenshtein_many(pairs: Sequence[tuple[str, str]]) -> list[int]:
         for (_, i, _, _), d in zip(block, _myers_block(patterns, texts).tolist()):
             out[i] = d
     return out
+
+
+def _shared_ends(a: str, b: str) -> tuple[int, int]:
+    """The lengths of the common prefix and suffix of a and b.
+
+    Each length is found by bisection over slice comparisons, which run
+    in C. The suffix stops where the prefix ends, so the two never
+    overlap.
+    """
+    la, lb = len(a), len(b)
+    p, hi = 0, min(la, lb)
+    while p < hi:  # a[:p] == b[:p], and the common prefix is at most hi
+        mid = (p + hi + 1) // 2
+        if a[p:mid] == b[p:mid]:
+            p = mid
+        else:
+            hi = mid - 1
+    s, hi = 0, min(la, lb) - p
+    while s < hi:
+        mid = (s + hi + 1) // 2
+        if a[la - mid : la - s] == b[lb - mid : lb - s]:
+            s = mid
+        else:
+            hi = mid - 1
+    return p, s
 
 
 def _codepoints(texts: Sequence[str]) -> np.ndarray:
@@ -203,13 +228,9 @@ def _popcount(x: np.ndarray) -> np.ndarray:
 _SHINGLE_BUDGET = 16384
 
 
-def shingle_hashes(text: str, k: int) -> np.ndarray:
-    """Distinct 64-bit hashes of the k-char shingles of text."""
-    return shingle_hashes_many([text], k)[0]
-
-
 def shingle_hashes_many(texts: Sequence[str], k: int) -> list[np.ndarray]:
-    """shingle_hashes(text, k) for every text, in input order.
+    """The distinct 64-bit hashes of each text's k-char shingles, sorted,
+    for every text, in input order.
 
     The texts' code points are concatenated, about _SHINGLE_BUDGET at a
     time, and rolled and mixed in one pass. A window that crosses from

@@ -26,7 +26,7 @@ from . import __version__, corpus, dedup, extract, synth
 from .analysis import compare_label_variants
 from .config import PipelineConfig, config_hash
 from .corpus import atomic_open, from_row, to_row
-from .errors import PipelineError
+from .errors import ConfigError, PipelineError
 from .extract import Identifier
 from .graph import (
     RelatednessGraph,
@@ -340,6 +340,11 @@ def _run_compare(ctx: StageContext) -> None:
 def _run_export(ctx: StageContext) -> None:
     graph = ctx.read("graph")
     comp = ctx.cfg.export_component
+    if comp is not None and comp not in graph.components:
+        raise ConfigError(
+            f"export.component: no component {comp} in graph.json, "
+            f"which has {len(graph.components)} components"
+        )
     wanted = _export_outputs(ctx.cfg)
     for fmt, export in (("graphml", export_graphml), ("dot", export_dot)):
         if fmt in wanted:

@@ -17,18 +17,12 @@ import pytest
 from adgraph import analysis
 from adgraph.analysis import PairedSample, wilcoxon_signed_rank
 from adgraph.config import load_config
-from adgraph.corpus import NormalizedAd, normalize
-from adgraph.dedup import (
-    DuplicateCluster,
-    SimilarityConfig,
-    candidate_pairs,
-    deduplicate,
-    levenshtein,
-    similarity,
-)
+from adgraph.corpus import normalize
+from adgraph.dedup import DuplicateCluster, SimilarityConfig, deduplicate, similarities
 from adgraph.extract import Identifier, extract_identifiers
 from adgraph.geo import Gazetteer, haversine_miles
 from adgraph.graph import build_graph, component_stats
+from adgraph.kernels import band_keys, levenshtein_many
 from adgraph.label import LabelingConfig, generate_oad_pairs, label_htrp, split_components, split_report
 from adgraph.pipeline import run_all, run_stage
 from adgraph.synth import SynthSpec, generate_corpus
@@ -50,10 +44,6 @@ def report(num: int, desc: str, failures: list, elapsed: float | None = None) ->
     timing = f"  [{elapsed:.1f}s]" if elapsed is not None else ""
     print(f"\n[criterion {num:02d}] {status} — {desc}{timing}", flush=True)
     assert not failures, "; ".join(str(f) for f in failures[:5])
-
-
-def norm_ad(ad_id: str, text: str) -> NormalizedAd:
-    return NormalizedAd(ad_id, text, 0)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -109,22 +99,23 @@ def test_criterion_01_edit_distance_oracle():
     def rand_str():
         return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
 
-    for _ in range(1000):
-        a, b = rand_str(), rand_str()
-        got, want = levenshtein(a, b), recursive_ref(a, b)
+    pairs = [(rand_str(), rand_str()) for _ in range(1000)]
+    for (a, b), got in zip(pairs, levenshtein_many(pairs)):
+        want = recursive_ref(a, b)
         if got != want:
             failures.append(f"d({a!r},{b!r}) = {got}, oracle {want}")
 
-    for _ in range(1000):
-        a, b, c = rand_str(), rand_str(), rand_str()
-        dab, dba = levenshtein(a, b), levenshtein(b, a)
-        if dab < 0 or levenshtein(a, a) != 0:
+    triples = [(rand_str(), rand_str(), rand_str()) for _ in range(1000)]
+    dists = levenshtein_many([p for a, b, c in triples for p in ((a, b), (b, a), (a, a), (a, c), (b, c))])
+    for i, (a, b, c) in enumerate(triples):
+        dab, dba, daa, dac, dbc = dists[5 * i : 5 * i + 5]
+        if dab < 0 or daa != 0:
             failures.append(f"non-negativity/identity broken on {a!r}")
         if (dab == 0) != (a == b):
             failures.append(f"zero iff equal broken on {a!r},{b!r}")
         if dab != dba:
             failures.append(f"symmetry broken on {a!r},{b!r}")
-        if levenshtein(a, c) > dab + levenshtein(b, c):
+        if dac > dab + dbc:
             failures.append(f"triangle broken on {a!r},{b!r},{c!r}")
 
     elapsed = time.perf_counter() - start
@@ -157,7 +148,7 @@ def test_criterion_02_dedup_recovery(planted_1000):
             failures.append(f"exact cluster {planted['canonical_id']} not recovered verbatim")
 
     # all-pairs O(n^2) oracle partition over unique texts: sound length
-    # prefilter + scalar metric (proven exact in criterion 1) + BFS closure
+    # prefilter + the batched metric (proven exact in criterion 1) + BFS closure
     texts = {n.ad_id: n.norm_text for n in normalized}
     groups = {}
     for n in normalized:
@@ -165,15 +156,18 @@ def test_criterion_02_dedup_recovery(planted_1000):
     uniq = sorted(groups)
     lens = [len(t) for t in uniq]
     adj = {i: set() for i in range(len(uniq))}
+    pairs = []
     for i in range(len(uniq)):
         for j in range(i + 1, len(uniq)):
             la, lb = lens[i], lens[j]
             m = la if la > lb else lb
             if m and (la - lb if la > lb else lb - la) > 0.1 * m:
                 continue
-            if similarity(uniq[i], uniq[j]) >= 0.9:
-                adj[i].add(j)
-                adj[j].add(i)
+            pairs.append((i, j))
+    for (i, j), sim in zip(pairs, similarities([(uniq[i], uniq[j]) for i, j in pairs])):
+        if sim >= 0.9:
+            adj[i].add(j)
+            adj[j].add(i)
     seen = set()
     oracle_clusters = []
     for s in range(len(uniq)):
@@ -262,8 +256,12 @@ def test_criterion_03_candidate_recall():
         if jaccard_shingles_ref(texts[a], texts[b], 5) >= 0.9:
             true_pairs.add((a, b))
 
-    ads = [norm_ad(ad_id, t) for ad_id, t in sorted(texts.items())]
-    candidates = candidate_pairs(ads, SimilarityConfig())
+    # every text is longer than shingle_k, so banding alone finds the
+    # candidates; keys a * n + b index the texts in ad_id order
+    ids = sorted(texts)
+    n = len(ids)
+    keys = {key for band in band_keys([texts[i] for i in ids], SimilarityConfig()) for key in band.tolist()}
+    candidates = {(ids[key // n], ids[key % n]) for key in keys}
     covered = sum(1 for p in true_pairs if p in candidates)
     recall = covered / len(true_pairs) if true_pairs else 0.0
 

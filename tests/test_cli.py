@@ -113,6 +113,16 @@ class TestErrors:
         assert "\n" not in error
         assert "identifiers.jsonl" in error and "'extract'" in error and "--force" in error
 
+    @pytest.mark.parametrize("via", [["--component", "99999"], ["--set", "export.component=99999"]])
+    def test_missing_export_component_is_one_error_line(self, finished_workdir, caplog, via):
+        graph = json.loads((finished_workdir / "graph.json").read_text(encoding="utf-8"))
+        caplog.clear()
+        assert run(["export", "--workdir", str(finished_workdir), *via]) == 1
+        [error] = self.error_lines(caplog)
+        assert "\n" not in error
+        assert "export.component" in error and "99999" in error
+        assert f"has {len(graph['components'])} components" in error
+
     def test_row_without_timestamp_names_its_stage_and_force(self, finished_workdir, caplog):
         records = finished_workdir / "records.jsonl"
         rows = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]

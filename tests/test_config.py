@@ -142,6 +142,16 @@ class TestValidate:
             ("dedup.bands=0", "dedup"),
             ("label.split_ratio=2.0", "label"),
             ("synth.dup_rate=1.5", "synth"),
+            # keys that default to null take only their own type
+            ("graph.quarantine_cap=abc", "graph.quarantine_cap"),
+            ("graph.quarantine_cap=true", "graph.quarantine_cap"),
+            ("graph.quarantine_cap=2.5", "graph.quarantine_cap"),
+            ("export.component=abc", "export.component"),
+            ("export.component=false", "export.component"),
+            ("gazetteer=5", "gazetteer"),
+            ("corpus.path=7", "corpus.path"),
+            ("corpus.annotations=[1]", "corpus.annotations"),
+            ("corpus.annotations={}", "corpus.annotations"),
         ],
     )
     def test_bad_values_rejected(self, override, fragment):

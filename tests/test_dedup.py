@@ -24,6 +24,8 @@ from oracles import (
 
 
 class TestLevenshtein:
+    """Known distances and single-pair properties of kernels.levenshtein_many."""
+
     CASES = [
         ("", "", 0),
         ("", "abc", 3),
@@ -43,20 +45,21 @@ class TestLevenshtein:
 
     @pytest.mark.parametrize("a,b,want", CASES)
     def test_known_distances(self, a, b, want):
-        assert dedup.levenshtein(a, b) == want
+        assert kernels.levenshtein_many([(a, b), (b, a)]) == [want, want]
 
     def test_symmetric(self):
-        assert dedup.levenshtein("abcdef", "azced") == dedup.levenshtein("azced", "abcdef")
+        dab, dba = kernels.levenshtein_many([("abcdef", "azced"), ("azced", "abcdef")])
+        assert dab == dba
 
     @given(st.text(alphabet="ab ", max_size=40), st.text(alphabet="ab ", max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_small_alphabet(self, a, b):
-        assert dedup.levenshtein(a, b) == levenshtein_ref(a, b)
+        assert kernels.levenshtein_many([(a, b)]) == [levenshtein_ref(a, b)]
 
     @given(st.text(max_size=30), st.text(max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_any_text(self, a, b):
-        assert dedup.levenshtein(a, b) == levenshtein_ref(a, b)
+        assert kernels.levenshtein_many([(a, b)]) == [levenshtein_ref(a, b)]
 
     @given(
         st.text(alphabet="abc ", min_size=20, max_size=80),
@@ -67,18 +70,19 @@ class TestLevenshtein:
     @settings(max_examples=300, deadline=None)
     def test_long_shared_affixes_match_reference(self, p, x, y, s):
         a, b = p + x + s, p + y + s
-        assert dedup.levenshtein(a, b) == levenshtein_ref(a, b)
+        assert kernels.levenshtein_many([(a, b)]) == [levenshtein_ref(a, b)]
 
     def test_long_strings_match_reference(self):
         rng = random.Random(7)
+        pairs = []
         for _ in range(20):
             a = "".join(rng.choice("abcdefg h") for _ in range(rng.randint(80, 220)))
             b = list(a)
             for _ in range(rng.randint(1, 15)):
                 i = rng.randrange(len(b))
                 b[i] = rng.choice("abcdefg h")
-            b = "".join(b)
-            assert dedup.levenshtein(a, b) == levenshtein_ref(a, b)
+            pairs.append((a, "".join(b)))
+        assert kernels.levenshtein_many(pairs) == [levenshtein_ref(a, b) for a, b in pairs]
 
 
 def _no_shared_ends(rng, alphabet, n):
@@ -177,25 +181,26 @@ class TestLevenshteinMany:
     @given(st.lists(_pair(), max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_similarities_match_reference(self, pairs):
-        got = dedup.similarities(pairs)
-        assert got == [similarity_ref(a, b) for a, b in pairs]
-        assert got == [dedup.similarity(a, b) for a, b in pairs]
+        assert dedup.similarities(pairs) == [similarity_ref(a, b) for a, b in pairs]
 
 
 class TestSimilarity:
+    """Single-pair cases of dedup.similarities."""
+
     def test_both_empty(self):
-        assert dedup.similarity("", "") == 1.0
+        assert dedup.similarities([("", "")]) == [1.0]
 
     def test_identical(self):
-        assert dedup.similarity("hello world", "hello world") == 1.0
+        assert dedup.similarities([("hello world", "hello world")]) == [1.0]
 
     def test_range(self):
-        assert 0.0 <= dedup.similarity("abc", "xyz") <= 1.0
+        [sim] = dedup.similarities([("abc", "xyz")])
+        assert 0.0 <= sim <= 1.0
 
     @given(st.text(max_size=50), st.text(max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_matches_reference(self, a, b):
-        assert dedup.similarity(a, b) == pytest.approx(similarity_ref(a, b))
+        assert dedup.similarities([(a, b)]) == [pytest.approx(similarity_ref(a, b))]
 
 
 class TestSimilarityConfig:
@@ -224,24 +229,42 @@ def _mutate(rng, text, edits):
     return "".join(chars)
 
 
+def candidate_pairs(ads, cfg):
+    """Unordered candidate pairs (id_a < id_b) as deduplicate finds them:
+    ads whose texts collide in a band of kernels.band_keys, and ads with
+    equal texts, which it joins before banding (texts shorter than
+    shingle_k get no band keys)."""
+    texts = [ad.norm_text for ad in ads]
+    n = len(ads)
+    groups = [divmod(key, n) for band in kernels.band_keys(texts, cfg) for key in band.tolist()]
+    by_text = {}
+    for i, text in enumerate(texts):
+        by_text.setdefault(text, []).append(i)
+    groups += by_text.values()
+    pairs = set()
+    for members in groups:
+        pairs.update(itertools.combinations(sorted({ads[i].ad_id for i in members}), 2))
+    return pairs
+
+
 class TestCandidatePairs:
     def test_identical_short_texts_pair_up(self):
         ads = [make_norm("a", "hi"), make_norm("b", "hi"), make_norm("c", "yo")]
-        pairs = dedup.candidate_pairs(ads, dedup.SimilarityConfig())
+        pairs = candidate_pairs(ads, dedup.SimilarityConfig())
         assert ("a", "b") in pairs
 
     def test_near_duplicates_found(self):
         rng = random.Random(11)
         base = _random_text(rng, 150)
         ads = [make_norm("a", base), make_norm("b", _mutate(rng, base, 3))]
-        pairs = dedup.candidate_pairs(ads, dedup.SimilarityConfig())
+        pairs = candidate_pairs(ads, dedup.SimilarityConfig())
         assert ("a", "b") in pairs
 
     def test_deterministic(self):
         rng = random.Random(12)
         ads = [make_norm(f"x{i}", _random_text(rng, 60)) for i in range(30)]
         cfg = dedup.SimilarityConfig()
-        assert dedup.candidate_pairs(ads, cfg) == dedup.candidate_pairs(ads, cfg)
+        assert candidate_pairs(ads, cfg) == candidate_pairs(ads, cfg)
 
 
 # a small pool, so equal texts often sit side by side in one pass
@@ -275,7 +298,7 @@ class TestShingleHashesMany:
     def test_default_budget_and_one_text_case(self, texts):
         got = kernels.shingle_hashes_many(texts, 5)
         for text, arr in zip(texts, got):
-            one = kernels.shingle_hashes(text, 5)
+            [one] = kernels.shingle_hashes_many([text], 5)
             assert arr.dtype == one.dtype == np.uint64
             assert arr.tolist() == one.tolist() == shingle_hashes_ref(text, 5)
 
@@ -292,7 +315,7 @@ class TestSignatureMatrix:
         cfg = dedup.SimilarityConfig()
         texts = [_random_text(rng, rng.randint(5, 120)) for _ in range(12)]
         texts += [texts[0], "abcde", "abcdefgh"]
-        shingles = [kernels.shingle_hashes(t, cfg.shingle_k) for t in texts]
+        shingles = kernels.shingle_hashes_many(texts, cfg.shingle_k)
         sigs = kernels._signature_matrix(shingles, cfg)
         mult, add = (p.tolist() for p in kernels._hash_params(cfg))
         assert sigs.shape == (len(texts), cfg.num_signatures)
@@ -330,11 +353,36 @@ class TestStreamedDedup:
         by_id = {ad.ad_id: ad.norm_text for ad in ads}
         edges = [
             (a, b)
-            for a, b in dedup.candidate_pairs(ads, cfg)
+            for a, b in candidate_pairs(ads, cfg)
             if similarity_ref(by_id[a], by_id[b]) >= cfg.dup_threshold
         ]
         got = {frozenset(c.member_ids) for c in dedup.deduplicate(ads, cfg)}
         assert got == edge_closure_ref(by_id, edges)
+
+    @given(repost_corpora(), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_partition_does_not_depend_on_pair_order(self, texts, seed):
+        # a shuffled order puts unlikely pairs in the pass-1 forest, so
+        # pass 2 must join what their failures left apart
+        ads = [NormalizedAd(f"a{i:03d}", t, 0) for i, t in enumerate(texts)]
+        cfg = dedup.SimilarityConfig()
+        by_id = {ad.ad_id: ad.norm_text for ad in ads}
+        open_pairs = kernels.open_pairs
+
+        def shuffled(texts, cfg):
+            pairs = list(zip(*open_pairs(texts, cfg)))
+            random.Random(seed).shuffle(pairs)
+            return [x for x, _ in pairs], [y for _, y in pairs]
+
+        want = {frozenset(c.member_ids) for c in dedup.deduplicate(ads, cfg)}
+        with mock.patch.object(kernels, "open_pairs", shuffled):
+            got = {frozenset(c.member_ids) for c in dedup.deduplicate(ads, cfg)}
+        edges = [
+            (a, b)
+            for a, b in candidate_pairs(ads, cfg)
+            if similarity_ref(by_id[a], by_id[b]) >= cfg.dup_threshold
+        ]
+        assert got == want == edge_closure_ref(by_id, edges)
 
     @given(repost_corpora())
     @settings(max_examples=60, deadline=None)
@@ -344,7 +392,7 @@ class TestStreamedDedup:
         ads = [NormalizedAd(f"a{i:03d}", t, 0) for i, t in enumerate(texts)]
         sigs = {}
         for ad in ads:
-            shingles = kernels.shingle_hashes(ad.norm_text, cfg.shingle_k).tolist()
+            shingles = shingle_hashes_ref(ad.norm_text, cfg.shingle_k)
             sigs[ad.ad_id] = minhash_ref(shingles, mult, add) if shingles else ad.norm_text
         r = cfg.rows_per_band
         want = set()
@@ -355,7 +403,7 @@ class TestStreamedDedup:
                     want.add((a, b))
             elif any(sa[i : i + r] == sb[i : i + r] for i in range(0, len(sa), r)):
                 want.add((a, b))
-        assert dedup.candidate_pairs(ads, cfg) == want
+        assert candidate_pairs(ads, cfg) == want
 
 
 class TestDeduplicate:
@@ -448,9 +496,10 @@ class TestDeduplicate:
         base = _random_text(rng, 100)
         b = "z" * 5 + base[5:]
         c = "z" * 5 + "y" * 7 + base[12:]
-        assert dedup.similarity(base, b) >= 0.9
-        assert dedup.similarity(b, c) >= 0.9
-        assert dedup.similarity(base, c) < 0.9
+        sim_ab, sim_bc, sim_ac = dedup.similarities([(base, b), (b, c), (base, c)])
+        assert sim_ab >= 0.9
+        assert sim_bc >= 0.9
+        assert sim_ac < 0.9
         ads = [make_norm("a", base), make_norm("b", b), make_norm("c", c)]
         clusters = dedup.deduplicate(ads)
         assert len(clusters) == 1 and clusters[0].member_ids == ["a", "b", "c"]
@@ -464,7 +513,7 @@ class TestSharedEnds:
         n = min(len(a), len(b))
         prefix = next((i for i in range(n) if a[i] != b[i]), n)
         suffix = next((i for i in range(n - prefix) if a[-1 - i] != b[-1 - i]), n - prefix)
-        assert dedup._shared_ends(a, b) == (prefix, suffix)
+        assert kernels._shared_ends(a, b) == (prefix, suffix)
 
 
 def _family_texts(seed, n_texts, bins_overflow):
@@ -512,22 +561,16 @@ class TestCountSketch:
 
 
 def _spy_verifications(monkeypatch):
-    """Record every (a, b, distance) dedup verifies, batched or scalar."""
+    """Record every (a, b, distance) dedup verifies."""
     seen = []
-    many, one = kernels.levenshtein_many, dedup.levenshtein
+    many = kernels.levenshtein_many
 
     def spy_many(pairs):
         dists = many(pairs)
         seen.extend((a, b, d) for (a, b), d in zip(pairs, dists))
         return dists
 
-    def spy_one(a, b):
-        d = one(a, b)
-        seen.append((a, b, d))
-        return d
-
     monkeypatch.setattr(kernels, "levenshtein_many", spy_many)
-    monkeypatch.setattr(dedup, "levenshtein", spy_one)
     return seen
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from adgraph import label
-from adgraph.dedup import DuplicateCluster, similarity
+from adgraph.dedup import DuplicateCluster
 from adgraph.errors import ConfigError, LabelingError
 from adgraph.extract import Identifier
 from adgraph.geo import Gazetteer

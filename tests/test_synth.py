@@ -4,7 +4,7 @@ import pytest
 
 from adgraph import corpus, synth
 from adgraph.corpus import ingest, normalize
-from adgraph.dedup import SimilarityConfig, deduplicate, similarity
+from adgraph.dedup import SimilarityConfig, deduplicate, similarities
 from adgraph.errors import ConfigError
 from adgraph.geo import Gazetteer
 from adgraph.graph import build_graph
@@ -109,11 +109,14 @@ class TestPlantedClusters:
     def test_near_duplicates_stay_above_threshold(self, world):
         _, truth, normalized = world
         texts = {n.ad_id: n.norm_text for n in normalized}
-        for cluster in truth.planted_clusters:
-            for member in cluster["member_ids"]:
-                if member != cluster["canonical_id"]:
-                    sim = similarity(texts[cluster["canonical_id"]], texts[member])
-                    assert sim >= 0.9
+        pairs = [
+            (texts[cluster["canonical_id"]], texts[member])
+            for cluster in truth.planted_clusters
+            for member in cluster["member_ids"]
+            if member != cluster["canonical_id"]
+        ]
+        for sim in similarities(pairs):
+            assert sim >= 0.9
 
 
 class TestPlantedIdentifiers:
