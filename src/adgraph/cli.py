@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub.add_parser(
         "compare",
-        parents=[common, gaz_flag],
+        parents=[common],
         help="relabel under variant thresholds and test rate shifts",
     )
     p_export = sub.add_parser(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -19,45 +19,31 @@ from .geo import Gazetteer
 from .label import LabelingConfig
 from .synth import SynthSpec
 
+
+def _field_defaults(cls: type) -> dict:
+    """A config dataclass's defaults; the global seed is set apart."""
+    return {f.name: f.default for f in fields(cls) if f.name != "seed"}
+
+
 DEFAULTS: dict = {
     "seed": 0,
     "workdir": "out",
     "threads": 1,
     "corpus": {"path": None, "format": "jsonl", "annotations": None},
     "gazetteer": None,
-    "dedup": {
-        "shingle_k": 5,
-        "num_signatures": 128,
-        "bands": 32,
-        "dup_threshold": 0.9,
-    },
+    "dedup": _field_defaults(SimilarityConfig),
     "graph": {"quarantine_cap": None},
-    "label": {
-        "pair_sim_threshold": 0.5,
-        "distance_threshold_miles": 300.0,
-        "phone_count_threshold": 3,
-        "rule_combination": "or",
-        "split_ratio": 0.8,
-        "pairs_per_class": 1000,
-        "include_giant_component": True,
-        "feature_scope": "component",
-    },
+    "label": _field_defaults(LabelingConfig),
     "analysis": {
         "strata": "location",
+        # the HTRP rule thresholds compare relabels under; null keeps label.*
         "variant": {
-            "pair_sim_threshold": None,
             "distance_threshold_miles": 150.0,
             "phone_count_threshold": None,
             "rule_combination": None,
         },
     },
-    "synth": {
-        "n_ads": 1000,
-        "dup_rate": 0.9,
-        "n_components": 80,
-        "component_size_distribution": "heavy_tailed",
-        "obfuscation_rate": 0.5,
-    },
+    "synth": _field_defaults(SynthSpec),
     "export": {"format": "both", "component": None},
     "stages": {"compare": True, "export": True},
 }
@@ -178,32 +164,26 @@ class PipelineConfig:
     def stage_enabled(self, name: str) -> bool:
         return bool(self.raw["stages"].get(name, True))
 
-    def similarity(self) -> SimilarityConfig:
-        d = self.raw["dedup"]
+    def _section(self, cls: type, section: str, **changes: Any):
+        """cls built from the seed, one config section and changes to it;
+        its ConfigError names the section."""
         try:
-            return SimilarityConfig(seed=self.seed, **d)
+            return cls(seed=self.seed, **{**self.raw[section], **changes})
         except ConfigError as e:
-            raise ConfigError(f"dedup: {e}") from None
+            raise ConfigError(f"{section}: {e}") from None
+
+    def similarity(self) -> SimilarityConfig:
+        return self._section(SimilarityConfig, "dedup")
 
     def labeling(self, variant: bool = False) -> LabelingConfig:
-        d = dict(self.raw["label"])
-        try:
-            cfg = LabelingConfig(seed=self.seed, **d)
-            if variant:
-                changes = {
-                    k: v for k, v in self.raw["analysis"]["variant"].items() if v is not None
-                }
-                cfg = replace(cfg, **changes)
-            return cfg
-        except ConfigError as e:
-            raise ConfigError(f"label: {e}") from None
+        # a null variant value keeps the label.* one
+        changes = self.raw["analysis"]["variant"] if variant else {}
+        return self._section(
+            LabelingConfig, "label", **{k: v for k, v in changes.items() if v is not None}
+        )
 
     def synth_spec(self) -> SynthSpec:
-        d = self.raw["synth"]
-        try:
-            return SynthSpec(seed=self.seed, **d)
-        except ConfigError as e:
-            raise ConfigError(f"synth: {e}") from None
+        return self._section(SynthSpec, "synth")
 
     def gazetteer(self) -> Gazetteer:
         p = self.raw["gazetteer"]
@@ -248,6 +228,8 @@ def load_config(
             data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid json ({e})") from None
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{path}: cannot read config file ({e})") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a json object")
         _merge(cfg, data)

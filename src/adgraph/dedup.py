@@ -77,7 +77,7 @@ def deduplicate(
     and chain transitively. The canonical member is the earliest
     posted_at when given (ties, or no timestamps: lowest ad_id).
     """
-    from .kernels import levenshtein_many, open_pairs
+    from .kernels import open_pairs
 
     cfg = cfg or SimilarityConfig()
     seen: set[str] = set()
@@ -107,9 +107,8 @@ def deduplicate(
     uf = UnionFind(range(len(texts)))
 
     def verify(edges: list[tuple[int, int]]) -> None:
-        strings = [(texts[x], texts[y]) for x, y in edges]
-        for (s, t), (x, y), d in zip(strings, edges, levenshtein_many(strings)):
-            if 1.0 - d / max(len(s), len(t)) >= threshold:
+        for (x, y), sim in zip(edges, similarities([(texts[x], texts[y]) for x, y in edges])):
+            if sim >= threshold:
                 uf.union(x, y)
 
     forest = UnionFind()

@@ -35,23 +35,29 @@ class Gazetteer:
 
     @classmethod
     def load(cls, path: str | Path) -> "Gazetteer":
-        """Read a name,lat,lon CSV; bad rows are a configuration error."""
+        """Read a name,lat,lon CSV; bad rows, and a file that cannot be
+        read as UTF-8 text, are a configuration error."""
         coords: dict[str, tuple[float, float]] = {}
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(reader.fieldnames) != {"name", "lat", "lon"}:
-                raise ConfigError(f"{path}: gazetteer header must be name,lat,lon")
-            for row in reader:
-                name = (row["name"] or "").strip().casefold()
-                if not name:
-                    raise ConfigError(f"{path}: empty city name on line {reader.line_num}")
-                try:
-                    lat, lon = float(row["lat"]), float(row["lon"])
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{path}: bad coordinates on line {reader.line_num}") from None
-                if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                    raise ConfigError(f"{path}: coordinates out of range on line {reader.line_num}")
-                coords[name] = (lat, lon)
+        try:
+            with open(path, encoding="utf-8", newline="") as fh:
+                reader = csv.DictReader(fh)
+                if reader.fieldnames is None or set(reader.fieldnames) != {"name", "lat", "lon"}:
+                    raise ConfigError(f"{path}: gazetteer header must be name,lat,lon")
+                for row in reader:
+                    name = (row["name"] or "").strip().casefold()
+                    if not name:
+                        raise ConfigError(f"{path}: empty city name on line {reader.line_num}")
+                    try:
+                        lat, lon = float(row["lat"]), float(row["lon"])
+                    except (TypeError, ValueError):
+                        raise ConfigError(f"{path}: bad coordinates on line {reader.line_num}") from None
+                    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                        raise ConfigError(
+                            f"{path}: coordinates out of range on line {reader.line_num}"
+                        )
+                    coords[name] = (lat, lon)
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{path}: cannot read gazetteer ({e})") from None
         if not coords:
             raise ConfigError(f"{path}: gazetteer has no rows")
         return cls(coords)
@@ -70,6 +76,3 @@ class Gazetteer:
 
     def __len__(self) -> int:
         return len(self._coords)
-
-    def __contains__(self, name: str) -> bool:
-        return self.resolve(name) is not None

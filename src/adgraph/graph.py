@@ -129,7 +129,8 @@ def build_graph(
         if len(members) < 2:
             continue
         if quarantine_cap is not None and len(members) > quarantine_cap:
-            quarantined.append({"identifier": key, "ad_count": len(members)})
+            # keys in graph.json's sorted order, so the built graph equals its parse
+            quarantined.append({"ad_count": len(members), "identifier": key})
             log.info("quarantined identifier %s shared by %d ads", key, len(members))
             continue
         hub = members[0]
@@ -197,7 +198,8 @@ def graph_to_dict(graph: RelatednessGraph) -> dict:
 
 
 def graph_from_dict(obj: dict) -> RelatednessGraph:
-    components = {int(k): list(v) for k, v in obj["components"].items()}
+    """The graph graph_to_dict made, its components in id order as built."""
+    components = dict(sorted({int(k): list(v) for k, v in obj["components"].items()}.items()))
     component_of = {node: idx for idx, members in components.items() for node in members}
     return RelatednessGraph(
         nodes=list(obj["nodes"]),

@@ -326,7 +326,8 @@ def _component_features(
     )
 
 
-def _apply_rules(features: HtrpFeatures, cfg: LabelingConfig) -> tuple[int, list[str]]:
+def _rules(features: HtrpFeatures, cfg: LabelingConfig) -> tuple[int, HtrpFeatures, list[str]]:
+    """The label, features and fired rules of one ad under cfg's thresholds."""
     fired = []
     if features.max_span_miles > cfg.distance_threshold_miles:
         fired.append(RULE_DISTANCE)
@@ -336,7 +337,7 @@ def _apply_rules(features: HtrpFeatures, cfg: LabelingConfig) -> tuple[int, list
         label = 1 if fired else 0
     else:
         label = 1 if len(fired) == 2 else 0
-    return label, fired
+    return label, features, fired
 
 
 def label_htrp(
@@ -352,16 +353,17 @@ def label_htrp(
     """
     if len(gazetteer) == 0:
         raise ConfigError("gazetteer is empty")
-    out: list[LabeledAd] = []
     if cfg.feature_scope == "component":
-        for _, members in sorted(graph.components.items()):
-            features = _component_features(members, graph, gazetteer)
-            label, fired = _apply_rules(features, cfg)
-            out.extend(LabeledAd(node, label, features, list(fired)) for node in members)
+        groups = [members for _, members in sorted(graph.components.items())]
     else:
-        for node in graph.nodes:
-            features = _component_features([node], graph, gazetteer)
-            label, fired = _apply_rules(features, cfg)
-            out.append(LabeledAd(node, label, features, list(fired)))
-    out.sort(key=lambda ad: ad.ad_id)
-    return out
+        groups = [[node] for node in graph.nodes]
+    features_of: dict[str, HtrpFeatures] = {}
+    for members in groups:
+        features = _component_features(members, graph, gazetteer)
+        features_of.update(dict.fromkeys(members, features))
+    return [LabeledAd(node, *_rules(features_of[node], cfg)) for node in sorted(features_of)]
+
+
+def relabel(labels: Sequence[LabeledAd], cfg: LabelingConfig) -> list[LabeledAd]:
+    """The same ads, features kept, judged by cfg's rule thresholds."""
+    return [LabeledAd(ad.ad_id, *_rules(ad.features, cfg)) for ad in labels]

@@ -38,7 +38,14 @@ from .graph import (
     stats_to_csv,
     write_graph_json,
 )
-from .label import LabeledAd, generate_oad_pairs, label_htrp, split_components, split_report
+from .label import (
+    LabeledAd,
+    generate_oad_pairs,
+    label_htrp,
+    relabel,
+    split_components,
+    split_report,
+)
 
 log = logging.getLogger("adgraph")
 
@@ -103,13 +110,14 @@ def _identifiers_by_ad(path: Path) -> dict[str, list[Identifier]]:
 
 
 def _split_assignment(path: Path) -> dict[int, str]:
-    """The assignment _run_split wrote; PipelineError if it is not one."""
+    """The assignment _run_split wrote, in component order; PipelineError
+    if it is not one."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise PipelineError(f"not valid json: {exc}") from exc
     try:
-        return {int(cid): side for cid, side in data["components"].items()}
+        return dict(sorted({int(cid): side for cid, side in data["components"].items()}.items()))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise PipelineError(f"not a split: {exc!r}") from exc
 
@@ -156,17 +164,17 @@ class StageContext:
     def read(self, artifact: str):
         """The parsed artifact; it must be one of the running stage's inputs.
 
-        A file its parser rejects, corrupt or in an older format, raises
-        an error naming the stage that writes it and --force: while the
-        file still matches that stage's manifest, only a forced run
-        rewrites it.
+        A file its parser rejects, corrupt, not UTF-8 or in an older
+        format, raises an error naming the stage that writes it and
+        --force: while the file still matches that stage's manifest, only
+        a forced run rewrites it.
         """
         key = (artifact, self.inputs[artifact])
         if key not in self.parsed:
             path = self.path(artifact)
             try:
                 self.parsed[key] = PARSERS[artifact](path)
-            except PipelineError as exc:
+            except (PipelineError, UnicodeDecodeError) as exc:
                 producer = PRODUCER[artifact]
                 raise PipelineError(
                     f"artifact {path.name} cannot be read ({exc}); "
@@ -268,6 +276,7 @@ def _run_graph(ctx: StageContext) -> None:
         quarantine_cap=ctx.cfg.quarantine_cap,
     )
     write_graph_json(graph, ctx.path("graph"))
+    ctx.hand("graph", graph)
     log.info(
         "%d nodes, %d edges, %d components",
         len(graph.nodes),
@@ -283,10 +292,12 @@ def _run_stats(ctx: StageContext) -> None:
 def _run_split(ctx: StageContext) -> None:
     graph = ctx.read("graph")
     cfg = ctx.cfg.labeling()
-    assignment = split_components(graph, cfg)
+    # in component order, as _split_assignment reads it back
+    assignment = dict(sorted(split_components(graph, cfg).items()))
     report = split_report(graph, assignment, cfg)
     ctx.write_json("split", {"components": {str(c): s for c, s in assignment.items()}})
     ctx.write_json("split_report", report)
+    ctx.hand("split", assignment)
     log.info(
         "split: %d train ads, %d test ads, deviation %.4f",
         report["train_ads"],
@@ -329,11 +340,11 @@ def _strata_map(ctx: StageContext, graph: RelatednessGraph) -> dict[str, str]:
 
 
 def _run_compare(ctx: StageContext) -> None:
-    graph = ctx.read("graph")
+    # the variant judges label-htrp's features by other rule thresholds
     baseline = ctx.read("htrp_labels")
-    variant = label_htrp(graph, ctx.cfg.gazetteer(), ctx.cfg.labeling(variant=True))
+    variant = relabel(baseline, ctx.cfg.labeling(variant=True))
     corpus.write_jsonl(ctx.path("htrp_variant_labels"), map(to_row, variant))
-    report = compare_label_variants(baseline, variant, _strata_map(ctx, graph))
+    report = compare_label_variants(baseline, variant, _strata_map(ctx, ctx.read("graph")))
     ctx.write_json("compare_report", report)
 
 
@@ -381,13 +392,12 @@ class StageDef:
         return self.outputs
 
 
-# the label keys the HTRP rules read; compare relabels under the variant
-# thresholds in `analysis` on top of them
-_HTRP_KEYS = (
+# the label keys the HTRP rules read; compare relabels label-htrp's
+# features under the variant thresholds in `analysis` on top of them
+_RULE_KEYS = (
     "label.distance_threshold_miles",
     "label.phone_count_threshold",
     "label.rule_combination",
-    "label.feature_scope",
 )
 
 STAGES: dict[str, StageDef] = {
@@ -440,13 +450,19 @@ STAGES: dict[str, StageDef] = {
                 "label.include_giant_component",
             ),
         ),
-        StageDef("label-htrp", ("graph",), ("htrp_labels",), _run_label_htrp, config=_HTRP_KEYS),
+        StageDef(
+            "label-htrp",
+            ("graph",),
+            ("htrp_labels",),
+            _run_label_htrp,
+            config=(*_RULE_KEYS, "label.feature_scope"),
+        ),
         StageDef(
             "compare",
             ("graph", "htrp_labels", "records"),
             ("htrp_variant_labels", "compare_report"),
             _run_compare,
-            config=(*_HTRP_KEYS, "analysis"),
+            config=(*_RULE_KEYS, "analysis"),
         ),
         StageDef("export", ("graph",), ("graphml", "dot"), _run_export, config=("export",)),
     )
@@ -491,7 +507,7 @@ def _external_inputs(name: str, cfg: PipelineConfig) -> dict[str, Path]:
         out["corpus"] = _resolve_corpus(cfg)
     if name == "extract" and cfg.annotations_path is not None:
         out["annotations"] = cfg.annotations_path
-    if name in ("label-htrp", "compare") and cfg.raw["gazetteer"]:
+    if name == "label-htrp" and cfg.raw["gazetteer"]:
         out["gazetteer"] = Path(cfg.raw["gazetteer"])
     return out
 
@@ -522,8 +538,9 @@ def _check_inputs(stage: StageDef, ctx: StageContext) -> dict[str, str]:
                 "or pass --force"
             )
     for name, p in _external_inputs(stage.name, ctx.cfg).items():
-        if not p.exists():
-            raise PipelineError(f"input file not found: {p}")
+        if not p.is_file():
+            why = "is not a file" if p.exists() else "not found"
+            raise PipelineError(f"input {name} {why}: {p}")
         hashes[name] = _sha256_file(p)
     return hashes
 

@@ -97,23 +97,6 @@ class GroundTruth:
     planted_identifiers: dict[str, list[dict]] = field(default_factory=dict)
     planted_htrp: dict[str, dict] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "planted_clusters": self.planted_clusters,
-            "planted_components": self.planted_components,
-            "planted_identifiers": self.planted_identifiers,
-            "planted_htrp": self.planted_htrp,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GroundTruth":
-        return cls(
-            planted_clusters=list(obj["planted_clusters"]),
-            planted_components=[list(c) for c in obj["planted_components"]],
-            planted_identifiers={k: list(v) for k, v in obj["planted_identifiers"].items()},
-            planted_htrp=dict(obj["planted_htrp"]),
-        )
-
 
 @dataclass
 class _PlannedIdentifier:
@@ -492,11 +475,7 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> tuple[Path, Path]:
     truth_path = out_dir / "ground_truth.json"
     write_jsonl(corpus_path, map(to_row, records))
     with atomic_open(truth_path) as fh:
-        json.dump(truth.to_dict(), fh, ensure_ascii=False, sort_keys=True, indent=1)
+        json.dump(to_row(truth), fh, ensure_ascii=False, sort_keys=True, indent=1)
         fh.write("\n")
     return corpus_path, truth_path
 
-
-def read_ground_truth(path: str | Path) -> GroundTruth:
-    with open(path, encoding="utf-8") as fh:
-        return GroundTruth.from_dict(json.load(fh))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import adgraph
-from adgraph import __version__
+from adgraph import __version__, pipeline
 from adgraph.cli import main
+from adgraph.pipeline import ALL_CHAIN, ARTIFACTS, PRODUCER, STAGES
 
 
 def run(argv):
@@ -100,6 +102,51 @@ class TestErrors:
         [error] = self.error_lines(caplog)
         assert "\n" not in error
         assert "split.json" in error and "'split'" in error and "--force" in error
+
+    @pytest.mark.parametrize("artifact", sorted(pipeline.PARSERS))
+    def test_non_utf8_artifact_is_one_error_line(self, finished_workdir, caplog, artifact):
+        path = finished_workdir / ARTIFACTS[artifact]
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        reader = next(s for s in ALL_CHAIN if artifact in STAGES[s].inputs)
+        caplog.clear()
+        assert run([reader, "--workdir", str(finished_workdir), "--force"]) == 1
+        [error] = self.error_lines(caplog)
+        assert "\n" not in error
+        assert f"artifact {path.name} cannot be read" in error
+        assert f"rerun '{PRODUCER[artifact]}' with --force" in error
+
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            ("--config", None),
+            ("--corpus", None),
+            ("--annotations", None),
+            ("--gazetteer", None),
+            ("--config", b'\xff\xfe{"seed": 1}\n'),
+            ("--gazetteer", b"name,lat,lon\n\xffparis,48.8,2.3\n"),
+            ("--gazetteer", "missing"),
+        ],
+        ids=["dir-config", "dir-corpus", "dir-annotations", "dir-gazetteer",
+             "non-utf8-config", "non-utf8-gazetteer", "missing-gazetteer"],
+    )
+    def test_bad_input_path_is_one_error_line(self, tmp_path, caplog, flag, content):
+        workdir = tmp_path / "w"
+        assert run(["synth", "--workdir", str(workdir), "--quiet", "--n-ads", "30", "--n-components", "5"]) == 0
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        elif content != "missing":
+            path.write_bytes(content)
+        caplog.clear()
+        assert run(["all", "--workdir", str(workdir), flag, str(path)]) == 1
+        [error] = self.error_lines(caplog)
+        assert "\n" not in error
+        assert str(path) in error
+
+    def test_variant_pair_sim_threshold_is_an_unknown_key(self, tmp_path, caplog):
+        argv = ["all", "--workdir", str(tmp_path / "w"), "--set", "analysis.variant.pair_sim_threshold=0.3"]
+        assert run(argv) == 1
+        assert self.error_lines(caplog) == ["unknown config key: analysis.variant.pair_sim_threshold"]
 
     @pytest.mark.parametrize(
         "line", ['{"kind": "phone", "raw": "x", "canonical": "2125550100"}', "[1, 2]"]
@@ -244,6 +291,44 @@ class TestHappyPath:
         workdir = str(tmp_path / "w")
         assert run(["synth", "--workdir", workdir, "--quiet", "--n-ads", "20", "--n-components", "5"]) == 0
         assert not [r for r in caplog.records if r.levelname == "INFO"]
+
+
+class TestCompareReadsNoGazetteer:
+    # the variant thresholds equal the base ones, so no label may move
+    SAME = ["--set", "analysis.variant.distance_threshold_miles=300"]
+
+    @pytest.fixture
+    def labeled(self, tmp_path):
+        workdir = tmp_path / "w"
+        gazetteer = tmp_path / "gazetteer.csv"
+        shutil.copy(Path(adgraph.__file__).parent / "data" / "gazetteer.csv", gazetteer)
+        args = ["--workdir", str(workdir), "--quiet"]
+        assert run(["synth", *args, "--n-ads", "200", "--n-components", "20"]) == 0
+        assert run(["all", *args, *self.SAME, "--gazetteer", str(gazetteer)]) == 0
+        return workdir, gazetteer
+
+    def test_only_label_htrp_records_the_gazetteer(self, labeled):
+        workdir, _ = labeled
+        inputs = {
+            stage: json.loads((workdir / "manifests" / f"{stage}.json").read_text())["inputs"]
+            for stage in ("label-htrp", "compare")
+        }
+        assert "gazetteer" in inputs["label-htrp"]
+        assert set(inputs["compare"]) == {"graph", "htrp_labels", "records"}
+
+    def test_edited_gazetteer_moves_no_variant_label(self, labeled):
+        workdir, gazetteer = labeled
+        labels = [json.loads(line) for line in (workdir / "htrp_labels.jsonl").read_text().splitlines()]
+        assert any(ad["rule_trace"] == ["distance"] for ad in labels)
+        # every city at one point: no span would fire the distance rule
+        rows = gazetteer.read_text(encoding="utf-8").splitlines()
+        moved = [rows[0]] + [f"{row.split(',')[0]},40.0,-100.0" for row in rows[1:]]
+        gazetteer.write_text("\n".join(moved) + "\n", encoding="utf-8")
+        for force in ([], ["--force"]):
+            argv = ["compare", "--workdir", str(workdir), "--quiet", *self.SAME, *force]
+            assert run([*argv, "--set", f"gazetteer={gazetteer}"]) == 0
+            report = json.loads((workdir / "compare_report.json").read_text())
+            assert report["flips"] == {"neg_to_pos": 0, "pos_to_neg": 0}
 
 
 class TestBrokenPipe:

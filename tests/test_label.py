@@ -1,14 +1,18 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from adgraph import label
-from adgraph.dedup import DuplicateCluster
+from adgraph.corpus import normalize
+from adgraph.dedup import DuplicateCluster, deduplicate
 from adgraph.errors import ConfigError, LabelingError
 from adgraph.extract import Identifier
 from adgraph.geo import Gazetteer
 from adgraph.graph import build_graph
+from adgraph.synth import SynthSpec, generate_corpus
 
+from conftest import record_identifiers
 from oracles import sample_pairs_ref
 
 # frozen oracle distances between bundled gazetteer cities
@@ -445,3 +449,51 @@ class TestHtrpFeatures:
             counts.append(sum(ad.label for ad in labels))
         assert counts == sorted(counts, reverse=True)
         assert counts[0] > counts[-1]
+
+
+# synth graphs of perfbench's three workload shapes, scaled down
+RELABEL_SHAPES = {
+    "reposted": SynthSpec(n_ads=400, dup_rate=0.9, n_components=32, obfuscation_rate=0.5, seed=7),
+    "distinct": SynthSpec(n_ads=300, dup_rate=0.0, n_components=60, obfuscation_rate=1.0, seed=7),
+    "relabel": SynthSpec(n_ads=200, dup_rate=0.0, n_components=40, obfuscation_rate=1.0, seed=7),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RELABEL_SHAPES))
+def synth_graph(request):
+    records, _ = generate_corpus(RELABEL_SHAPES[request.param])
+    normalized = [normalize(r) for r in records]
+    ids_by_ad = {r.ad_id: record_identifiers(r, n) for r, n in zip(records, normalized)}
+    locations = {r.ad_id: r.locations for r in records}
+    return build_graph(deduplicate(normalized), ids_by_ad, locations)
+
+
+def custom_gazetteer() -> Gazetteer:
+    """Every other bundled city, moved 3 degrees north: other spans, and
+    locations the bundled list resolves left unresolved."""
+    gaz = Gazetteer.bundled()
+    coords = {}
+    for name in gaz.names()[::2]:
+        lat, lon = gaz.resolve(name)
+        coords[name] = (lat + 3.0, lon)
+    return Gazetteer(coords)
+
+
+class TestRelabel:
+    @pytest.mark.parametrize("scope", ["component", "ad"])
+    @pytest.mark.parametrize("combination", ["or", "and"])
+    @pytest.mark.parametrize("gaz", [Gazetteer.bundled(), custom_gazetteer()], ids=["bundled", "custom"])
+    def test_matches_labeling_from_the_graph(self, synth_graph, scope, combination, gaz):
+        # the reference recomputes the features from the graph and the
+        # gazetteer under the variant thresholds
+        base = cfg(feature_scope=scope, rule_combination=combination)
+        labels = label.label_htrp(synth_graph, gaz, base)
+        for changes in (
+            {},
+            {"distance_threshold_miles": 150.0},
+            {"distance_threshold_miles": 690.0, "phone_count_threshold": 4},
+            {"phone_count_threshold": 1, "rule_combination": "and" if combination == "or" else "or"},
+        ):
+            variant = replace(base, **changes)
+            want = label.label_htrp(synth_graph, gaz, variant)
+            assert repr(label.relabel(labels, variant)) == repr(want), changes

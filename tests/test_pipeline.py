@@ -104,7 +104,9 @@ class TestDeterminism:
 # why.
 # normalized.jsonl and the manifests that hash it changed when
 # normalized.jsonl dropped original_text, which extract rebuilds from the
-# record.
+# record. manifests/compare.json changed when compare stopped hashing
+# label.feature_scope and analysis.variant.pair_sim_threshold, which its
+# relabeling of label-htrp's features never reads.
 PINNED_DIGESTS = {
     "annotation_rejects.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "clusters.jsonl": "4d7c0145ad1ec28bb7ca008588674d4824aee8aadc07bbd08fbb100df5ea615b",
@@ -118,7 +120,7 @@ PINNED_DIGESTS = {
     "htrp_labels.jsonl": "fb9d88a9dd5c36a0a46dc08bed4e191138a762f6c2b40569f6053c459adc70dd",
     "htrp_labels_variant.jsonl": "2beb94b533bde53cbe3190cacef3ba880445d9fdc7c8fb1b8f5796d78378bc59",
     "identifiers.jsonl": "aa1ca7e8ace8c9edf0a46387779e5aeae7c618570833af928d155d832b7f862a",
-    "manifests/compare.json": "a59d638b5aa2c3294f5df689fa37b6880ff2a5067cbf41e48c32106e1e30e6ad",
+    "manifests/compare.json": "f10030386c2ad3857e90854992e67934edaf7df6b4d9d9799a60d032edd6467e",
     "manifests/dedup.json": "8d69848df5024b7ea96e8ac4b4fa60a3d24cb611b90a55834b5cd64b1d55cc93",
     "manifests/export.json": "c439b742bd7d4c6c14a1aa527cb4e66803d405af59fdb4611806cf2dc1794ea4",
     "manifests/extract.json": "0d0de11763760d58124639ff099c1eb933e3558aa963d8802aa53f03797b8903",
@@ -376,17 +378,17 @@ class TestOneContextPerChain:
         run_stage("synth", cfg)
         parses: Counter[str] = Counter()
 
-        def counted(read):
+        def counted(parse):
             def wrapper(path):
                 parses[Path(path).name] += 1
-                return read(path)
+                return parse(path)
             return wrapper
 
-        monkeypatch.setattr(corpus, "read_jsonl", counted(corpus.read_jsonl))
-        monkeypatch.setattr(pipeline, "read_graph_json", counted(pipeline.read_graph_json))
+        for art, parse in pipeline.PARSERS.items():
+            monkeypatch.setitem(pipeline.PARSERS, art, counted(parse))
         assert all(r["ran"] for r in run_all(cfg))
-        # every other artifact a stage reads was handed over by its writer
-        assert parses == {"graph.json": 1}
+        # every artifact a stage reads was handed over by its writer
+        assert parses == {}
 
     def test_stage_by_stage_writes_what_run_all_writes(self, full_run, tmp_path):
         # a stage that mutated a parse shared through run_all's context
@@ -444,10 +446,17 @@ class TestHandOff:
             assert [art for art, _ in handed] == ["htrp_labels"]
         else:
             assert sorted(art for art, _ in handed) == [
-                "clusters", "htrp_labels", "identifiers", "normalized", "records",
+                "clusters", "graph", "htrp_labels", "identifiers", "normalized", "records", "split",
             ]
         for art, obj in handed:
             assert repr(obj) == repr(pipeline.PARSERS[art](cfg.workdir / ARTIFACTS[art])), art
+
+    def test_quarantined_graph_equals_the_parse_of_its_file(self, tmp_path, monkeypatch):
+        cfg = make_cfg(tmp_path / "w", ["graph.quarantine_cap=2"])
+        run_stage("synth", cfg)
+        graph = dict(self.handed_during(cfg, monkeypatch))["graph"]
+        assert graph.quarantined
+        assert repr(graph) == repr(pipeline.PARSERS["graph"](cfg.workdir / ARTIFACTS["graph"]))
 
     def test_annotated_identifiers_equal_the_parse_of_their_file(self, tmp_path, monkeypatch):
         ads = [
@@ -549,7 +558,6 @@ PERTURBED = {
     "label.include_giant_component": ["label.include_giant_component=false"],
     "label.feature_scope": ["label.feature_scope=ad"],
     "analysis.strata": ["analysis.strata=source"],
-    "analysis.variant.pair_sim_threshold": ["analysis.variant.pair_sim_threshold=0.3"],
     "analysis.variant.distance_threshold_miles": ["analysis.variant.distance_threshold_miles=500"],
     "analysis.variant.phone_count_threshold": ["analysis.variant.phone_count_threshold=5"],
     "analysis.variant.rule_combination": ["analysis.variant.rule_combination=and"],

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from adgraph import corpus, synth
+from adgraph import corpus
 from adgraph.corpus import ingest, normalize
 from adgraph.dedup import SimilarityConfig, deduplicate, similarities
 from adgraph.errors import ConfigError
@@ -88,11 +88,10 @@ class TestGeneratedCorpus:
         texts_b = sorted(r.description for r in records_b)
         assert texts_a != texts_b
 
-    def test_ground_truth_round_trip(self, tmp_path):
+    def test_ground_truth_round_trip(self, world, tmp_path):
         _, truth_path = generate(SPEC, tmp_path)
-        truth = synth.read_ground_truth(truth_path)
         with open(truth_path, encoding="utf-8") as fh:
-            assert GroundTruth.from_dict(json.load(fh)) == truth
+            assert corpus.from_row(GroundTruth, json.load(fh)) == world[1]
 
 
 class TestPlantedClusters:
