@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--workdir", metavar="DIR", help="artifact directory (default: out)")
     common.add_argument("--seed", type=int, metavar="N", help="global random seed")
-    common.add_argument("--threads", type=int, metavar="N", help="worker processes for per-ad maps")
+    common.add_argument("--threads", type=int, metavar="N", help="worker processes for identifier extraction")
     common.add_argument(
         "--force", action="store_true", help="run even when inputs fail manifest checks"
     )
@@ -137,6 +137,11 @@ _FLAG_KEYS = (
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The package's one numpy module, kernels, uses only elementwise
+    # ufuncs, sort and search, never BLAS, so an OpenBLAS worker pool
+    # would only spin idle. OpenBLAS reads this when kernels first imports
+    # numpy, and pool workers inherit it; a value already set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,

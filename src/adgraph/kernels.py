@@ -23,9 +23,10 @@ _SHIFT33 = _U64(33)
 # pairs that levenshtein_many advances together: every text column costs
 # the same few dozen numpy calls whatever the block's size
 _BLOCK = 256
-# pairs whose match-table rows are built at once, which bounds the
-# transient arrays of a block's set-up
-_TABLE_PAIRS = 16
+# characters, and (pair, character) keys, whose match-table rows are
+# built at once, which bounds the transient arrays of a block's set-up
+_TABLE_CHARS = 1 << 13
+_TABLE_KEYS = 1 << 18
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 _BITWISE_COUNT = getattr(np, "bitwise_count", None)  # numpy >= 2
@@ -41,39 +42,33 @@ def levenshtein_many(pairs: Sequence[tuple[str, str]]) -> list[int]:
     (_shared_ends), and the shorter middle is the pattern. Pairs,
     longest text first, go in blocks of _BLOCK, and a block's pairs
     advance one text column at a time as rows of (pairs x words) uint64
-    arrays, the addition and both left shifts carrying between words. Bits above a pattern's length only ever
-    feed higher bits, so they never reach the result. The last DP row
-    is len(text) plus the pattern column's vertical deltas, so each
-    distance is len(text) + popcount(VP) - popcount(VN) over the
-    pattern's bits. All of it is exact integer arithmetic.
+    arrays, the addition and both left shifts carrying between words.
+    Bits above a pattern's length only ever feed higher bits, so they
+    never reach the result. The last DP row is len(text) plus the
+    pattern column's vertical deltas, so each distance is len(text) +
+    popcount(VP) - popcount(VN) over the pattern's bits. All of it is
+    exact integer arithmetic.
     """
     out = [0] * len(pairs)
-    # (longer middle's length, pair, shared prefix, shared suffix): the
-    # middles are sliced block by block, so only one block's copies live
-    todo: list[tuple[int, int, int, int]] = []
+    # (text length, pattern length, pair, shared prefix, shared suffix):
+    # the middles themselves are sliced only while a block's match table
+    # is built, a few thousand characters at a time
+    todo: list[tuple[int, int, int, int, int]] = []
     for i, (a, b) in enumerate(pairs):
         if a == b:
             continue
         p, s = _shared_ends(a, b)
         m, n = len(a) - p - s, len(b) - p - s
         if m and n:
-            todo.append((max(m, n), i, p, s))
+            todo.append((max(m, n), min(m, n), i, p, s))
         else:
             out[i] = m + n
     # longest text first, so the pairs of a block still running are a prefix
     todo.sort(key=lambda t: -t[0])
     for lo in range(0, len(todo), _BLOCK):
         block = todo[lo : lo + _BLOCK]
-        patterns, texts = [], []
-        for _, i, p, s in block:
-            a, b = pairs[i]
-            a, b = a[p : len(a) - s], b[p : len(b) - s]
-            if len(a) > len(b):
-                a, b = b, a
-            patterns.append(a)
-            texts.append(b)
-        for (_, i, _, _), d in zip(block, _myers_block(patterns, texts).tolist()):
-            out[i] = d
+        for t, d in zip(block, _myers_block(pairs, block).tolist()):
+            out[t[2]] = d
     return out
 
 
@@ -106,48 +101,111 @@ def _codepoints(texts: Sequence[str]) -> np.ndarray:
     return np.frombuffer("".join(texts).encode("utf-32-le"), dtype=np.uint32)
 
 
-def _match_rows(
-    patterns: Sequence[str], texts: Sequence[str], peq: np.ndarray, base: int
-) -> np.ndarray:
-    """Fill the pattern-match rows of these pairs; each text character's row.
+def _spans(sizes: Sequence[int], budget: int):
+    """Yield (lo, hi) over consecutive items, each span holding items of
+    total size at most budget, or one item that alone exceeds it."""
+    lo = 0
+    while lo < len(sizes):
+        hi, total = lo + 1, sizes[lo]
+        while hi < len(sizes) and total + sizes[hi] <= budget:
+            total += sizes[hi]
+            hi += 1
+        yield lo, hi
+        lo = hi
 
-    peq[base:] gets one row per distinct (pair, character) of the
-    patterns, keyed pair << 21 | code point, with the bit of every
-    position where the character occurs. A text character's row is
-    that row's index, or 0 when its pattern lacks the character.
+
+def _middles(pairs: Sequence[tuple[str, str]], entries) -> tuple[list[str], list[str]]:
+    """The patterns and texts of these levenshtein_many entries."""
+    patterns, texts = [], []
+    for _, _, i, p, s in entries:
+        a, b = pairs[i]
+        a, b = a[p : len(a) - s], b[p : len(b) - s]
+        if len(a) > len(b):
+            a, b = b, a
+        patterns.append(a)
+        texts.append(b)
+    return patterns, texts
+
+
+def _match_table(pairs, block, m: np.ndarray, n: np.ndarray, words: int):
+    """A block's match table; each text character's row in its segment,
+    pair after pair; and each pair's segment.
+
+    The pairs are cut into spans of about _TABLE_CHARS characters, which
+    bounds the transient arrays, and each span owns a segment of the
+    table. A segment's row 0 matches nothing. After it comes one row per
+    (pair, character) of the span's patterns, with the bit of every
+    position where the character occurs, and a text character's row is
+    its pattern's row for that character, or 0. A span whose (pair,
+    character) keys would exceed _TABLE_KEYS is cut in two.
     """
-    m = np.array([len(p) for p in patterns], dtype=np.int64)
-    n = np.array([len(t) for t in texts], dtype=np.int64)
-    pair = np.arange(len(patterns), dtype=np.int64) << 21
-    keys, row = np.unique(np.repeat(pair, m) | _codepoints(patterns), return_inverse=True)
-    pos = np.arange(len(row), dtype=np.int64) - np.repeat(np.cumsum(m) - m, m)
-    np.bitwise_or.at(peq, (row + base, pos >> 6), np.uint64(1) << (pos & 63).astype(np.uint64))
-    del row, pos
-    tkeys = np.repeat(pair, n) | _codepoints(texts)
-    hit = np.minimum(np.searchsorted(keys, tkeys), len(keys) - 1)
-    return np.where(keys[hit] == tkeys, hit + base, 0)
+    pstart = np.concatenate(([0], np.cumsum(m))).tolist()
+    tstart = np.concatenate(([0], np.cumsum(n))).tolist()
+    todo = list(_spans((m + n).tolist(), _TABLE_CHARS))[::-1]
+    longest = max(pstart[hi] - pstart[lo] for lo, hi in todo)
+    # a segment's rows are at most its span's pattern characters, plus one
+    prows = np.empty(pstart[-1], dtype=np.min_scalar_type(longest + 1))
+    trows = np.empty(tstart[-1], dtype=prows.dtype)
+    # scratch space indexed by code point, holding pattern positions; int16
+    # keeps it under the 4 MB from which numpy asks for huge pages, so a
+    # write makes a 4 KB page resident, not a 2 MB one
+    lut = np.empty(0x110000, dtype=np.int16 if longest < 1 << 15 else np.int32)
+    segment = np.empty(len(block), dtype=np.int64)
+    spans, made = [], 0
+    while todo:
+        lo, hi = todo.pop()
+        patterns, texts = _middles(pairs, block[lo:hi])
+        pc, tc = _codepoints(patterns), _codepoints(texts)
+        del patterns, texts
+        # dense ids by lookup: once written, lut gives each occurrence of
+        # a code point the same one of its pattern positions, or -1 where
+        # no pattern holds it, which reads id 0
+        lut[tc] = -1
+        lut[pc] = np.arange(len(pc), dtype=lut.dtype)
+        at = lut[pc]
+        ids = np.zeros(len(pc) + 1, dtype=np.int32)
+        ids[at] = 1
+        np.cumsum(ids[:-1], out=ids[:-1])
+        width = int(ids[-2]) + 1
+        if (hi - lo) * width > _TABLE_KEYS and hi - lo > 1:
+            mid = (lo + hi) // 2
+            todo += [(mid, hi), (lo, mid)]
+            continue
+        # key pair * width + id; each key a pattern holds gets the next row
+        offset = np.arange(0, (hi - lo) * width, width, dtype=np.int64)
+        pkeys = np.repeat(offset, m[lo:hi]) + ids[at]
+        tkeys = np.repeat(offset, n[lo:hi]) + ids[lut[tc]]
+        del pc, tc, at, ids, offset
+        held = np.zeros((hi - lo) * width, dtype=bool)
+        held[pkeys] = True
+        row = np.cumsum(held, dtype=np.int32)
+        spans.append((lo, hi, made))
+        segment[lo:hi] = made
+        made += int(row[-1]) + 1
+        row *= held
+        prows[pstart[lo] : pstart[hi]] = row[pkeys]
+        trows[tstart[lo] : tstart[hi]] = row[tkeys]
+    peq = np.zeros((made, words), dtype=np.uint64)
+    flat = peq.reshape(-1)
+    for lo, hi, base in spans:
+        pos = np.arange(pstart[lo], pstart[hi], dtype=np.int64) - np.repeat(pstart[lo:hi], m[lo:hi])
+        at = (prows[pstart[lo] : pstart[hi]].astype(np.int64) + base) * words + (pos >> 6)
+        # a pattern's positions are distinct bits, so adding them is or-ing
+        np.add.at(flat, at, np.uint64(1) << (pos & 63).astype(np.uint64))
+    return peq, trows, segment
 
 
-def _myers_block(patterns: Sequence[str], texts: Sequence[str]) -> np.ndarray:
-    """Edit distance of each non-empty pattern and its text, texts longest first."""
-    k = len(patterns)
-    m = np.array([len(p) for p in patterns], dtype=np.int64)
-    n = np.array([len(t) for t in texts], dtype=np.int64)
+def _myers_block(pairs, block) -> np.ndarray:
+    """Edit distance of each levenshtein_many entry of the block, texts
+    longest first."""
+    k = len(block)
+    n = np.array([t[0] for t in block], dtype=np.int64)
+    m = np.array([t[1] for t in block], dtype=np.int64)
     words = (int(m.max()) + 63) >> 6
     one = np.uint64(1)
-
-    # one match-table row per distinct (pair, character) of the patterns,
-    # after row 0, which matches nothing; the texts' characters as rows,
-    # pair after pair
-    distinct = np.cumsum([1] + [len(set(p)) for p in patterns])
-    peq = np.zeros((int(distinct[-1]), words), dtype=np.uint64)
-    start = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(n, out=start[1:])
-    rows = np.empty(int(start[-1]), dtype=np.min_scalar_type(len(peq)))
-    for lo in range(0, k, _TABLE_PAIRS):
-        hi = min(lo + _TABLE_PAIRS, k)
-        rows[start[lo] : start[hi]] = _match_rows(patterns[lo:hi], texts[lo:hi], peq, int(distinct[lo]))
-    start = start[:-1]
+    peq, rows, segment = _match_table(pairs, block, m, n, words)
+    start = np.zeros(k, dtype=np.int64)
+    np.cumsum(n[:-1], out=start[1:])
     # pairs still running at each text column: a prefix, texts being sorted
     active = k - np.searchsorted(n[::-1], np.arange(n[0]), side="right")
 
@@ -161,7 +219,7 @@ def _myers_block(patterns: Sequence[str], texts: Sequence[str]) -> np.ndarray:
     s63 = np.uint64(63)
     for j, kj in enumerate(active.tolist()):
         size = kj * words
-        eq = peq.take(rows.take(start[:kj] + j), axis=0).ravel()
+        eq = peq.take(segment[:kj] + rows.take(start[:kj] + j), axis=0).ravel()
         v, w = vp[:size], vn[:size]
         s = eq & v
         s += v
@@ -241,14 +299,8 @@ def shingle_hashes_many(texts: Sequence[str], k: int) -> list[np.ndarray]:
     distinct hashes that a pass over it alone gives.
     """
     out: list[np.ndarray] = []
-    lo = 0
-    while lo < len(texts):
-        hi, size = lo + 1, len(texts[lo])
-        while hi < len(texts) and size + len(texts[hi]) <= _SHINGLE_BUDGET:
-            size += len(texts[hi])
-            hi += 1
+    for lo, hi in _spans([len(t) for t in texts], _SHINGLE_BUDGET):
         out.extend(_shingle_pass(texts[lo:hi], k))
-        lo = hi
     return out
 
 

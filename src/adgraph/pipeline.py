@@ -117,9 +117,13 @@ def _split_assignment(path: Path) -> dict[int, str]:
     except json.JSONDecodeError as exc:
         raise PipelineError(f"not valid json: {exc}") from exc
     try:
-        return dict(sorted({int(cid): side for cid, side in data["components"].items()}.items()))
+        assignment = dict(sorted({int(cid): side for cid, side in data["components"].items()}.items()))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise PipelineError(f"not a split: {exc!r}") from exc
+    for side in assignment.values():
+        if side not in ("train", "test"):
+            raise PipelineError(f"not a split: side {side!r}")
+    return assignment
 
 
 # how each artifact a stage reads is parsed; readers are looked up when
@@ -175,12 +179,15 @@ class StageContext:
             try:
                 self.parsed[key] = PARSERS[artifact](path)
             except (PipelineError, UnicodeDecodeError) as exc:
-                producer = PRODUCER[artifact]
-                raise PipelineError(
-                    f"artifact {path.name} cannot be read ({exc}); "
-                    f"rerun '{producer}' with --force"
-                ) from exc
+                raise self.unreadable(artifact, exc) from exc
         return self.parsed[key]
+
+    def unreadable(self, artifact: str, reason) -> PipelineError:
+        """The error for an input artifact that cannot be used as it is."""
+        return PipelineError(
+            f"artifact {self.path(artifact).name} cannot be read ({reason}); "
+            f"rerun '{PRODUCER[artifact]}' with --force"
+        )
 
     def hand(self, artifact: str, obj) -> None:
         """Offer later stages `obj`, the parse of the artifact just written."""
@@ -215,7 +222,9 @@ def _run_synth(ctx: StageContext) -> None:
 def _run_ingest(ctx: StageContext) -> None:
     path = _resolve_corpus(ctx.cfg)
     records, rejects = corpus.ingest(path, ctx.cfg.corpus_format)
-    normalized = _pmap(corpus.normalize, records, ctx.cfg.threads)
+    # in-process at any thread count: pickling each record to a worker
+    # costs more than normalizing it
+    normalized = [corpus.normalize(r) for r in records]
     corpus.write_jsonl(ctx.path("records"), map(to_row, records))
     corpus.write_jsonl(ctx.path("rejects"), map(to_row, rejects))
     corpus.write_jsonl(ctx.path("normalized"), map(to_row, normalized))
@@ -308,8 +317,11 @@ def _run_split(ctx: StageContext) -> None:
 
 def _run_label_oad(ctx: StageContext) -> None:
     graph = ctx.read("graph")
+    split = ctx.read("split")
+    if split.keys() != graph.components.keys():
+        raise ctx.unreadable("split", "its components are not the graph's")
     texts = {n.ad_id: n.norm_text for n in ctx.read("normalized") if n.ad_id in graph.component_of}
-    pairs = generate_oad_pairs(graph, texts, ctx.cfg.labeling(), ctx.read("split"))
+    pairs = generate_oad_pairs(graph, texts, ctx.cfg.labeling(), split)
     corpus.write_jsonl(ctx.path("oad_pairs"), map(to_row, pairs))
     log.info("%d labeled pairs", len(pairs))
 

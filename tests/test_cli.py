@@ -94,7 +94,19 @@ class TestErrors:
         assert "\n" not in error
         assert "graph.json" in error and "'graph'" in error and "--force" in error
 
-    @pytest.mark.parametrize("content", ['{"broken', '{"x":1}', "[]", '{"components": {"a": "train"}}'])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"broken',
+            '{"x":1}',
+            "[]",
+            '{"components": {"a": "train"}}',
+            # a side other than train/test, and components other than the graph's
+            '{"components": {"0": "nope"}}',
+            '{"components": {"0": ["train"]}}',
+            '{"components": {}}',
+        ],
+    )
     def test_corrupt_split_json_is_one_error_line(self, finished_workdir, caplog, content):
         (finished_workdir / "split.json").write_text(content, encoding="utf-8")
         caplog.clear()

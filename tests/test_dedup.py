@@ -113,7 +113,77 @@ def _pair(draw):
     return a, a[:i] + draw(st.text(alphabet="abz\U0001F600", max_size=5)) + a[i + 1 :]
 
 
+def _table_mix(seed, count):
+    """Pairs that one block's match table must keep apart: 1-word and
+    multi-word patterns, astral code points, characters that only the
+    text or only the pattern holds, and pairs that trimming empties or
+    overlaps ("aa"/"aaa")."""
+    rng = random.Random(seed)
+    common = "ab c\U0001F600\u4e00"
+
+    def text(alphabet, lo, hi):
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+    pairs = []
+    for i in range(count):
+        kind = i % 6
+        if kind == 0:  # identical
+            a = text(common, 0, 30)
+            pairs.append((a, a))
+        elif kind == 1:  # one string a run that the other extends: ends overlap
+            c = rng.choice(common)
+            pairs.append((c * rng.randint(1, 70), c * rng.randint(1, 70)))
+        elif kind == 2:  # one side empty after trimming
+            p, s = text(common, 0, 20), text(common, 0, 20)
+            pairs.append((p + s, p + text(common + "xy", 1, 8) + s))
+        elif kind == 3:  # a multi-word pattern with a few edits
+            a = text(common, 65, 140)
+            b = list(a)
+            for _ in range(rng.randint(1, 6)):
+                b[rng.randrange(len(b))] = rng.choice(common + "\U0001F680")
+            pairs.append((a, "".join(b)))
+        elif kind == 4:  # pattern characters the text lacks, and text characters the pattern lacks
+            pairs.append((text("ab\U0001F600", 1, 12), text("xyz\U0001F680 ", 5, 40)))
+        else:  # a 1-word pattern against a longer, multi-word text
+            pairs.append((text(common, 1, 20), text(common + "\U0010FFFF", 70, 130)))
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def table_mix():
+    # half the pairs keep non-empty middles after trimming: two blocks
+    pairs = _table_mix(3, 3 * kernels._BLOCK)
+    return pairs, [levenshtein_ref(a, b) for a, b in pairs]
+
+
 class TestLevenshteinMany:
+    def test_pattern_too_long_for_a_16_bit_scratch_index(self):
+        # 32770 pattern positions: in 16 bits the last, X's, would wrap
+        # onto the slot of Y's, and X would match the text's final Y
+        a = "aaaaY" + "a" * 32764 + "X"
+        b = "caaaY" + "a" * 32764 + "Y"
+        assert kernels.levenshtein_many([(a, b), (b, a)]) == [2, 2]
+
+    @pytest.mark.parametrize(
+        "block, table_chars, table_keys",
+        [
+            (None, None, None),  # the shipped sizes
+            (7, None, None),
+            (7, 50, None),  # match tables built in several spans
+            (7, 50, 60),  # and spans cut in two for their key count
+            (7, 50, 1),  # down to one pair
+        ],
+    )
+    def test_blocks_and_table_spans_match_reference(
+        self, table_mix, monkeypatch, block, table_chars, table_keys
+    ):
+        for name, value in [("_BLOCK", block), ("_TABLE_CHARS", table_chars), ("_TABLE_KEYS", table_keys)]:
+            if value is not None:
+                monkeypatch.setattr(kernels, name, value)
+        pairs, want = table_mix
+        assert kernels.levenshtein_many(pairs) == want
+
     @given(st.lists(_pair(), max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_matches_reference(self, pairs):

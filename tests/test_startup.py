@@ -1,5 +1,5 @@
 """Start-up guard: numpy loads only in the stages that compute with it,
-and ElementTree not at all.
+ElementTree not at all, and the CLI starts no BLAS worker threads.
 
 Each check runs in a fresh interpreter, because this process has numpy
 loaded already, and reads which modules that interpreter ended with.
@@ -28,21 +28,27 @@ BASE = [
 RELABEL = ["--set", "label.distance_threshold_miles=690", "--set", "label.phone_count_threshold=4"]
 
 
-def modules_after(*commands: list[str]) -> set[str]:
-    """sys.modules of a fresh interpreter once cli.main has run each command."""
+def state_after(*commands: list[str], report: str, env: dict[str, str] | None = None):
+    """The JSON value of the expression `report` in a fresh interpreter
+    once cli.main has run each command."""
     script = (
-        "import json, sys\n"
+        "import json, os, sys\n"
         "from adgraph import cli\n"
         f"for argv in {commands!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
-        "print(json.dumps(sorted(sys.modules)))\n"
+        f"print(json.dumps({report}))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_after(*commands: list[str]) -> set[str]:
+    """sys.modules of a fresh interpreter once cli.main has run each command."""
+    return set(state_after(*commands, report="sorted(sys.modules)"))
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +91,28 @@ def test_relabel_and_up_to_date_reruns_load_no_numpy(base_chain):
         "label-htrp.json",
         "compare.json",
     }
+
+
+def dedup_commands(workdir: str) -> list[list[str]]:
+    return [[stage, "--workdir", workdir, *BASE] for stage in ("synth", "ingest", "dedup")]
+
+
+THREADS = '{"threads": len(os.listdir("/proc/self/task")), "numpy": "numpy" in sys.modules, "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}'
+
+linux_tasks = pytest.mark.skipif(
+    sys.platform != "linux" or not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task"
+)
+
+
+@linux_tasks
+def test_dedup_leaves_one_os_thread(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    state = state_after(*dedup_commands(str(tmp_path / "w")), report=THREADS, env=env)
+    assert state == {"threads": 1, "numpy": True, "openblas": "1"}
+
+
+@linux_tasks
+def test_a_blas_thread_count_already_set_wins(tmp_path):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    state = state_after(*dedup_commands(str(tmp_path / "w")), report=THREADS, env=env)
+    assert state["numpy"] and state["openblas"] == "2"
