@@ -179,9 +179,10 @@ def iter_jsonl_objects(path: str | Path, noun: str) -> Iterator[tuple[int, dict 
 
     A line that is not valid UTF-8, not JSON, not an object, or that
     escapes a lone surrogate is a reject; the lines around it are read as
-    usual.
+    usual. One leading byte order mark is skipped, as editors that save
+    "UTF-8 with BOM" write one.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -203,7 +204,7 @@ def iter_jsonl_objects(path: str | Path, noun: str) -> Iterator[tuple[int, dict 
 
 
 def _iter_csv(path: Path) -> Iterator[tuple[int, dict | Reject]]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames is None:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import Reject, iter_jsonl_objects
 from .emoji import emoji_class
@@ -32,9 +32,11 @@ _HOMOPHONES = {"to": "2", "too": "2", "for": "4", "ate": "8", "o": "0"}
 # A digit run, or a digit/homophone word that is a whole ASCII letter run.
 # re.ASCII keeps IGNORECASE from folding non-ASCII letters onto ASCII ones
 # (U+212A KELVIN SIGN to "k", U+017F LONG S to "s", U+0130/U+0131 to "i"),
-# in the words and in the lookarounds alike.
+# in the words and in the lookarounds alike. The leading lookahead holds
+# every character a match can begin with, so the search skips any other
+# position without trying each alternative there.
 _ATOM_RE = re.compile(
-    r"[0-9]+|(?<![A-Za-z])(?:%s)(?![A-Za-z])"
+    r"(?=[0-9aefnostz])(?:[0-9]+|(?<![A-Za-z])(?:%s)(?![A-Za-z]))"
     % "|".join(sorted({*_DIGIT_WORDS, *_HOMOPHONES}, key=lambda w: (-len(w), w))),
     re.ASCII | re.IGNORECASE,
 )
@@ -49,11 +51,21 @@ _PLATFORMS = {
     "whatsapp": "whatsapp",
 }
 _PLATFORM_RE = r"\b(%s)\b" % "|".join(sorted(_PLATFORMS, key=lambda w: (-len(w), w)))
+# the lookahead holds the platforms' first letters; under a Unicode-mode
+# IGNORECASE it also admits U+017F, U+0130 and U+0131, as the words do
 _HANDLE_RE = re.compile(
-    _PLATFORM_RE + r"(?=[\s:.\-–—@]{0,4}([A-Za-z0-9_][A-Za-z0-9_.\-]{1,30}))",
+    r"(?=[sitw])" + _PLATFORM_RE + r"(?=[\s:.\-–—@]{0,4}([A-Za-z0-9_][A-Za-z0-9_.\-]{1,30}))",
     re.IGNORECASE,
 )
 _HANDLE_TOKEN_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]{1,30}$")
+# str.lower keeps the letters that a Unicode IGNORECASE matches as "s" and
+# "i" (U+017F, U+0130, U+0131), so a matched platform word folds them first
+_PLATFORM_FOLD = str.maketrans({"\u017f": "s", "\u0130": "i", "\u0131": "i"})
+
+
+def _platform(word: str) -> str:
+    """The platform that a word _PLATFORM_RE matched names."""
+    return _PLATFORMS[word.translate(_PLATFORM_FOLD).lower()]
 
 
 @dataclass(frozen=True)
@@ -67,8 +79,7 @@ class Identifier:
     end: int | None = None
 
 
-@dataclass(frozen=True)
-class _Atom:
+class _Atom(NamedTuple):
     start: int
     end: int
     digits: str
@@ -131,6 +142,10 @@ def deobfuscate_phone(text: str) -> list[tuple[str, tuple[int, int]]]:
     """
     matches: list[tuple[str, tuple[int, int]]] = []
     for rough in _chain(_atoms(text), text):
+        # kept atoms are a subset of the rough chain's, so a rough chain
+        # of fewer than ten digits gives no phone
+        if sum(len(a.digits) for a in rough) < 10:
+            continue
         kept = [
             atom
             for i, atom in enumerate(rough)
@@ -142,10 +157,10 @@ def deobfuscate_phone(text: str) -> list[tuple[str, tuple[int, int]]]:
             digits = "".join(a.digits for a in chain)
             if len(digits) < 10:
                 continue
-            spans = _digit_char_spans(chain)
             if len(digits) <= 15:
-                matches.append((digits, (spans[0][0], spans[-1][1])))
+                matches.append((digits, (chain[0].start, chain[-1].end)))
                 continue
+            spans = _digit_char_spans(chain)
             pos = 0
             while len(digits) - pos >= 10:
                 matches.append((digits[pos : pos + 10], (spans[pos][0], spans[pos + 9][1])))
@@ -184,6 +199,8 @@ def _scan_phones(text: str) -> list[Identifier]:
 
 
 def _scan_emails(text: str) -> list[Identifier]:
+    if "@" not in text:  # _EMAIL_RE requires one
+        return []
     return [
         Identifier("email", m.group(), m.group().lower(), m.start(), m.end())
         for m in _EMAIL_RE.finditer(text)
@@ -196,7 +213,7 @@ def _scan_handles(text: str) -> list[Identifier]:
         token = m.group(2).rstrip(".-")
         if len(token) < 2 or token.lower() in _PLATFORMS:
             continue
-        platform = _PLATFORMS[m.group(1).lower()]
+        platform = _platform(m.group(1))
         end = m.start(2) + len(token)
         out.append(
             Identifier("social_handle", text[m.start() : end], f"{platform}:{token.lower()}", m.start(), end)
@@ -205,6 +222,8 @@ def _scan_handles(text: str) -> list[Identifier]:
 
 
 def _scan_urls(text: str) -> list[Identifier]:
+    if "://" not in text:  # _URL_RE requires it
+        return []
     out = []
     for m in _URL_RE.finditer(text):
         raw = m.group().rstrip(_URL_TRAIL)
@@ -314,7 +333,7 @@ def _canonicalize_span(
         window = original_text[max(0, start - 24) : start]
         platform = None
         for m in re.finditer(_PLATFORM_RE, window, re.IGNORECASE):
-            platform = _PLATFORMS[m.group(1).lower()]
+            platform = _platform(m.group(1))
         if platform is None:
             return None
         return Identifier("social_handle", span_text, f"{platform}:{token.lower()}", start, end)

@@ -223,8 +223,19 @@ def _run_ingest(ctx: StageContext) -> None:
     path = _resolve_corpus(ctx.cfg)
     records, rejects = corpus.ingest(path, ctx.cfg.corpus_format)
     # in-process at any thread count: pickling each record to a worker
-    # costs more than normalizing it
-    normalized = [corpus.normalize(r) for r in records]
+    # costs more than normalizing it. Each distinct text is normalized
+    # once; its reposts share the normalized string
+    first_by_text: dict[str, corpus.NormalizedAd] = {}
+    normalized = []
+    for r in records:
+        text = corpus.build_original_text(r.title, r.description)
+        first = first_by_text.get(text)
+        if first is None:
+            first_by_text[text] = first = corpus.normalize(r)
+            normalized.append(first)
+        else:
+            normalized.append(corpus.NormalizedAd(r.ad_id, first.norm_text, first.emoji_count))
+    del first_by_text  # its keys, the original texts, are held by no later stage
     corpus.write_jsonl(ctx.path("records"), map(to_row, records))
     corpus.write_jsonl(ctx.path("rejects"), map(to_row, rejects))
     corpus.write_jsonl(ctx.path("normalized"), map(to_row, normalized))

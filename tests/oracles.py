@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 from collections import deque
 
 from adgraph import extract
-from adgraph.emoji import emoji_ranges
+from adgraph.emoji import emoji_class, emoji_ranges
 
 
 def levenshtein_ref(a: str, b: str) -> int:
@@ -285,16 +285,118 @@ def wilcoxon_exact_ref(diffs: list[float]) -> tuple[float, float]:
     return observed, hits / 2.0**n
 
 
+# Reference scanners that share none of the package's shortcuts: atoms
+# from atoms_ref's letter-run tokenizer, the other three regexes without
+# leading lookaheads, every scan run on every text, and chains dropped
+# only after the homophone pass. The platform a matched word names is
+# found by matching each platform word again, so the letters IGNORECASE
+# folds need no table. Canonical forms come from the package.
+_EMAIL_RE_REF = re.compile(r"[A-Za-z0-9._%+\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}")
+_URL_RE_REF = re.compile(r"https?://[^\s<>\"']+", re.IGNORECASE)
+_URL_TRAIL_REF = ".,!?;:)’”"
+_PLATFORMS_REF = {
+    "snap": "snapchat", "snapchat": "snapchat",
+    "insta": "instagram", "instagram": "instagram", "ig": "instagram",
+    "telegram": "telegram", "tg": "telegram",
+    "whatsapp": "whatsapp",
+}
+_HANDLE_RE_REF = re.compile(
+    r"\b(%s)\b" % "|".join(sorted(_PLATFORMS_REF, key=lambda w: (-len(w), w)))
+    + r"(?=[\s:.\-–—@]{0,4}([A-Za-z0-9_][A-Za-z0-9_.\-]{1,30}))",
+    re.IGNORECASE,
+)
+_GAP_RE_REF = re.compile(rf"[\s\-–—.(){emoji_class()}]{{0,3}}")
+
+
+def _chain_ref(atoms: list[tuple], text: str) -> list[list[tuple]]:
+    """atoms_ref atoms grouped into runs whose gaps _GAP_RE_REF spans."""
+    chains: list[list[tuple]] = []
+    cur: list[tuple] = []
+    for atom in atoms:
+        if cur:
+            if _GAP_RE_REF.fullmatch(text, cur[-1][1], atom[0]):
+                cur.append(atom)
+                continue
+            chains.append(cur)
+        cur = [atom]
+    if cur:
+        chains.append(cur)
+    return chains
+
+
+def _digit_char_spans_ref(chain: list[tuple]) -> list[tuple[int, int]]:
+    spans = []
+    for start, end, digits, _strong, is_run in chain:
+        if is_run:
+            spans.extend((start + i, start + i + 1) for i in range(len(digits)))
+        else:
+            spans.append((start, end))
+    return spans
+
+
+def deobfuscate_phone_ref(text: str) -> list[tuple[str, tuple[int, int]]]:
+    matches: list[tuple[str, tuple[int, int]]] = []
+    for rough in _chain_ref(atoms_ref(text), text):
+        kept = [
+            atom
+            for i, atom in enumerate(rough)
+            if atom[3] or (i > 0 and rough[i - 1][3]) or (i + 1 < len(rough) and rough[i + 1][3])
+        ]
+        for chain in _chain_ref(kept, text):
+            digits = "".join(atom[2] for atom in chain)
+            if len(digits) < 10:
+                continue
+            spans = _digit_char_spans_ref(chain)
+            if len(digits) <= 15:
+                matches.append((digits, (spans[0][0], spans[-1][1])))
+                continue
+            pos = 0
+            while len(digits) - pos >= 10:
+                matches.append((digits[pos : pos + 10], (spans[pos][0], spans[pos + 9][1])))
+                pos += 10
+    return matches
+
+
+def scan_text_ref(text: str) -> list:
+    """Phones, emails, handles and urls in text, in extract._scan_text's order."""
+    Identifier = extract.Identifier
+    out = []
+    for digits, (start, end) in deobfuscate_phone_ref(text):
+        canonical = extract.canonical_phone(digits)
+        if canonical is not None:
+            out.append(Identifier("phone", text[start:end], canonical, start, end))
+    for m in _EMAIL_RE_REF.finditer(text):
+        out.append(Identifier("email", m.group(), m.group().lower(), m.start(), m.end()))
+    for m in _HANDLE_RE_REF.finditer(text):
+        token = m.group(2).rstrip(".-")
+        if len(token) < 2 or token.lower() in _PLATFORMS_REF:
+            continue
+        word = m.group(1)
+        platform = next(v for k, v in _PLATFORMS_REF.items() if re.fullmatch(k, word, re.IGNORECASE))
+        end = m.start(2) + len(token)
+        out.append(
+            Identifier("social_handle", text[m.start() : end], f"{platform}:{token.lower()}", m.start(), end)
+        )
+    for m in _URL_RE_REF.finditer(text):
+        raw = m.group().rstrip(_URL_TRAIL_REF)
+        if "://" not in raw:
+            continue
+        out.append(Identifier("url", raw, extract.canonical_url(raw), m.start(), m.start() + len(raw)))
+    return out
+
+
 def extract_identifiers_ref(declared_phone, original_text: str, norm_text: str):
-    """extract.extract_identifiers with the norm_text scan always run.
+    """extract.extract_identifiers with the norm_text scan always run,
+    through the reference scanners.
 
     Original pass, then a norm pass keeping what no original-pass
-    identifier of its kind matches up to case, then the declared phone.
+    identifier of its kind matches up to case, then the declared phone:
+    its recovered phones, else its digits as one phone.
     """
-    original_pass = extract._scan_text(original_text)
+    original_pass = scan_text_ref(original_text)
     found = {(i.kind, i.canonical.casefold()) for i in original_pass}
     norm_pass = []
-    for ident in extract._scan_text(norm_text):
+    for ident in scan_text_ref(norm_text):
         if (ident.kind, ident.canonical.casefold()) in found:
             continue
         idx = original_text.find(ident.raw)
@@ -302,9 +404,11 @@ def extract_identifiers_ref(declared_phone, original_text: str, norm_text: str):
         norm_pass.append(extract.Identifier(ident.kind, ident.raw, ident.canonical, *span))
     declared_pass = []
     if declared_phone:
-        declared_pass = [
-            extract.Identifier("phone", declared_phone, c) for c in extract._phones(declared_phone)
-        ]
+        phones = [extract.canonical_phone(d) for d, _ in deobfuscate_phone_ref(declared_phone)]
+        phones = [c for c in phones if c is not None]
+        if not phones:
+            phones = [extract.canonical_phone(re.sub(r"[^0-9]", "", declared_phone))]
+        declared_pass = [extract.Identifier("phone", declared_phone, c) for c in phones if c is not None]
     return extract.merge_identifiers(original_pass, norm_pass, declared_pass)
 
 

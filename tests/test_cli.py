@@ -305,6 +305,37 @@ class TestHappyPath:
         assert not [r for r in caplog.records if r.levelname == "INFO"]
 
 
+class TestByteOrderMark:
+    # what an editor that saves "UTF-8 with BOM" writes
+    JSONL = (
+        '{"ad_id": "a1", "description": "call 555 123 0147", "posted_at": "2024-01-01T00:00:00Z"}\n'
+        '{"ad_id": "a2", "title": "Hi", "description": "", "posted_at": "2024-01-02T00:00:00Z"}\n'
+    )
+    CSV = (
+        "ad_id,title,description,posted_at,locations,declared_phone,source\n"
+        "a1,,call 555 123 0147,2024-01-01T00:00:00Z,paris;lyon,,site_a\n"
+        "a2,Hi,,2024-01-02T00:00:00Z,,5551230147,site_b\n"
+    )
+
+    def ingested(self, tmp_path, name, fmt, content) -> Path:
+        corpus = tmp_path / f"{name}.{fmt}"
+        corpus.write_text(content, encoding="utf-8")
+        workdir = tmp_path / name
+        args = ["ingest", "--quiet", "--workdir", str(workdir), "--corpus", str(corpus), "--format", fmt]
+        assert run(args) == 0
+        return workdir
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_leading_bom_reads_as_without_it(self, tmp_path, fmt):
+        content = self.JSONL if fmt == "jsonl" else self.CSV
+        plain = self.ingested(tmp_path, "plain", fmt, content)
+        marked = self.ingested(tmp_path, "marked", fmt, "\ufeff" + content)
+        assert (marked / "rejects.jsonl").read_bytes() == b""
+        for name in ("records.jsonl", "normalized.jsonl"):
+            assert (marked / name).read_bytes() == (plain / name).read_bytes()
+        assert len((marked / "records.jsonl").read_text().splitlines()) == 2
+
+
 class TestCompareReadsNoGazetteer:
     # the variant thresholds equal the base ones, so no label may move
     SAME = ["--set", "analysis.variant.distance_threshold_miles=300"]

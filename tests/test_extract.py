@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from unittest import mock
 
@@ -10,7 +11,7 @@ from adgraph import extract
 from adgraph.corpus import Reject, normalize_text
 
 from conftest import ad_texts
-from oracles import atoms_ref, extract_identifiers_ref, is_emoji_ref
+from oracles import atoms_ref, extract_identifiers_ref, is_emoji_ref, scan_text_ref
 
 
 def phones(text: str) -> list[str]:
@@ -184,6 +185,66 @@ class TestScanEmailsUrlsHandles:
     def test_handle_trailing_dot_trimmed(self):
         [ident] = extract._scan_handles("telegram sweetpea.")
         assert ident.canonical == "telegram:sweetpea"
+
+
+# what can start, end or break each scanner's match: digit and platform
+# words in any case, the IGNORECASE traps, "@", "://", separators, and
+# digit runs on both sides of a phone's 10 and 15 digits
+_SCAN_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(_WORDS + sorted(extract._PLATFORMS)).flatmap(_mixed_case),
+        st.sampled_from(("\u212a", "\u017f", "\u0130", "\u0131")),
+        st.sampled_from(("@", "://", "http", "HTTPS", ".com", "x", "me", "_")),
+        st.sampled_from((" ", "-", ".", ":", "(", ")", "/", "\t", "\U0001F600")),
+        st.text("0123456789", min_size=1, max_size=20),
+    ),
+    max_size=16,
+).map("".join)
+
+
+class TestScannersMatchReference:
+    @given(_SCAN_TEXT)
+    @settings(max_examples=400, deadline=None)
+    def test_scan_text_equals_reference(self, text):
+        assert extract._scan_text(text) == scan_text_ref(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "call 555 123 014 now",  # 9 digits: dropped before the homophone pass
+            "five five five 123 oh one four",
+            "call 555 123 0147 now",  # exactly 10
+            "for 555 to 123 0147",
+            "5551230147 5551230148 555 1",  # over 15, split greedily
+            "\u017fnap me",
+            "\u0131nsta",
+            "\u0131nsta: bobby @ x.com http://a.b/C",
+        ],
+    )
+    def test_pinned(self, text):
+        assert extract._scan_text(text) == scan_text_ref(text)
+
+    def test_platform_fold_covers_every_code_point_ignorecase_reads_as_a_letter(self):
+        letters = set("".join(extract._PLATFORMS))
+        any_letter = re.compile("[%s]" % "".join(sorted(letters)), re.IGNORECASE)
+        wrong = []
+        for cp in range(sys.maxunicode + 1):
+            ch = chr(cp)
+            if any_letter.fullmatch(ch):
+                folded = ch.translate(extract._PLATFORM_FOLD).lower()
+                if folded not in letters or not re.fullmatch(folded, ch, re.IGNORECASE):
+                    wrong.append(cp)
+        assert wrong == []
+
+    def test_pinned_outcomes(self):
+        # the traps still start a platform word under a Unicode IGNORECASE,
+        # and name its platform
+        assert [i.canonical for i in extract._scan_text("\u017fnap me")] == ["snapchat:me"]
+        assert extract._scan_text("\u0131nsta") == []
+        for word in ("\u0131nsta", "\u0130NSTA", "In\u017fta"):
+            assert [i.canonical for i in extract._scan_text(f"{word} bob")] == ["instagram:bob"]
+        assert extract.deobfuscate_phone("call 555 123 014 now") == []
+        assert extract.deobfuscate_phone("call 555 123 0147 now") == [("5551230147", (5, 17))]
 
 
 class TestMergeIdentifiers:
@@ -388,6 +449,26 @@ class TestImportAnnotations:
         found, rejects = extract.import_annotations(path, {"a1": text})
         assert rejects == []
         assert found["a1"][0].canonical == "snapchat:lolapetal"
+
+    def test_handle_keyword_with_a_folded_letter(self, tmp_path):
+        text = "add my \u0131nsta lolapetal today"
+        t0 = text.index("lolapetal")
+        path = self._write(
+            tmp_path,
+            [{"ad_id": "a1", "spans": [{"start": t0, "end": t0 + 9, "label": "social_handle"}]}],
+        )
+        found, rejects = extract.import_annotations(path, {"a1": text})
+        assert rejects == []
+        assert found["a1"][0].canonical == "instagram:lolapetal"
+
+    def test_leading_bom_is_skipped(self, tmp_path):
+        text = "mail foo@example.net"
+        path = tmp_path / "ann.jsonl"
+        row = {"ad_id": "a1", "spans": [{"start": 5, "end": 20, "label": "email"}]}
+        path.write_text("\ufeff" + json.dumps(row) + "\n", encoding="utf-8")
+        found, rejects = extract.import_annotations(path, {"a1": text})
+        assert rejects == []
+        assert [i.canonical for i in found["a1"]] == ["foo@example.net"]
 
     def test_reject_reasons(self, tmp_path):
         text = "plain words only here"

@@ -481,6 +481,27 @@ class TestHandOff:
         assert len(read_jsonl(cfg.workdir / ARTIFACTS["annotation_rejects"])) == 1
         assert repr(handed["identifiers"]) == repr(parsed)
 
+    def test_ingest_normalizes_each_distinct_text_once(self, tmp_path, monkeypatch):
+        ads = [
+            corpus_row("a1", "Call 555 123 0147 \U0001F352"),
+            corpus_row("a2", "Call 555 123 0147 \U0001F352", declared_phone="5551230147"),
+            corpus_row("a3", "", title="Title Only"),
+            corpus_row("a4", "something else"),
+            corpus_row("a5", "Call 555 123 0147 \U0001F352"),
+            # the same normalized text from a different original
+            corpus_row("a6", "SOMETHING  ELSE"),
+            corpus_row("a7", "Only", title="Title"),
+        ]
+        cfg = make_cfg(tmp_path / "w", [f"corpus.path={write_corpus(tmp_path / 'c.jsonl', ads)}"])
+        handed = {}
+        monkeypatch.setattr(pipeline.StageContext, "hand", lambda ctx, art, obj: handed.setdefault(art, obj))
+        run_stage("ingest", cfg)
+        normalized = handed["normalized"]
+        assert [vars(n) for n in normalized] == [vars(corpus.normalize(r)) for r in handed["records"]]
+        reposts = [normalized[i].norm_text for i in (0, 1, 4)]
+        assert reposts[0] is reposts[1] is reposts[2]
+        assert normalized[3].norm_text == normalized[5].norm_text
+
     def test_a_handed_object_is_served_only_for_the_bytes_it_was_written_as(self, tmp_path):
         cfg = make_cfg(tmp_path / "w")
         run_stage("synth", cfg)
