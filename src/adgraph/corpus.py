@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, get_type_hints
+from typing import IO, Callable, Iterable, Iterator, get_type_hints
 
 from .emoji import count_emoji
 from .errors import EmptyCorpusError, IngestError, PipelineError
@@ -330,9 +330,33 @@ def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-# one encoder for every row: json.dumps with keyword arguments would
-# build a new one per call
-_encode_row = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+def _row_encoder() -> Callable[[dict], str]:
+    """json.dumps(row, ensure_ascii=False, sort_keys=True) as one function.
+
+    JSONEncoder.encode builds a new C encoder for every call, so the C
+    encoder is built once here, as encode would build it but with no
+    circular-reference markers (a row is a tree of dicts and lists).
+    Where the C accelerator is missing, encode itself is used.
+    """
+    encoder = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    # the arguments JSONEncoder.iterencode passes, markers aside
+    encode = json.encoder.c_make_encoder(
+        None,
+        encoder.default,
+        json.encoder.encode_basestring,
+        encoder.indent,
+        encoder.key_separator,
+        encoder.item_separator,
+        encoder.sort_keys,
+        encoder.skipkeys,
+        encoder.allow_nan,
+    )
+    return lambda row: "".join(encode(row, 0))
+
+
+_encode_row = _row_encoder()
 
 # rows per write, so a large artifact is never held as one string
 _WRITE_CHUNK_ROWS = 1024

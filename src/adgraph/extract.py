@@ -58,14 +58,21 @@ _HANDLE_RE = re.compile(
     re.IGNORECASE,
 )
 _HANDLE_TOKEN_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]{1,30}$")
-# str.lower keeps the letters that a Unicode IGNORECASE matches as "s" and
-# "i" (U+017F, U+0130, U+0131), so a matched platform word folds them first
+# a Unicode IGNORECASE matches four code points as ASCII letters. str.lower
+# maps U+212A to "k", but keeps U+017F ("s") and U+0131 ("i") and turns
+# U+0130 ("i") into two characters, so platform words and handle tokens
+# fold those three first
 _PLATFORM_FOLD = str.maketrans({"\u017f": "s", "\u0130": "i", "\u0131": "i"})
+
+
+def _fold(word: str) -> str:
+    """A platform word or handle token as the ASCII lower case it matched as."""
+    return word.translate(_PLATFORM_FOLD).lower()
 
 
 def _platform(word: str) -> str:
     """The platform that a word _PLATFORM_RE matched names."""
-    return _PLATFORMS[word.translate(_PLATFORM_FOLD).lower()]
+    return _PLATFORMS[_fold(word)]
 
 
 @dataclass(frozen=True)
@@ -211,12 +218,12 @@ def _scan_handles(text: str) -> list[Identifier]:
     out = []
     for m in _HANDLE_RE.finditer(text):
         token = m.group(2).rstrip(".-")
-        if len(token) < 2 or token.lower() in _PLATFORMS:
+        if len(token) < 2 or _fold(token) in _PLATFORMS:
             continue
         platform = _platform(m.group(1))
         end = m.start(2) + len(token)
         out.append(
-            Identifier("social_handle", text[m.start() : end], f"{platform}:{token.lower()}", m.start(), end)
+            Identifier("social_handle", text[m.start() : end], f"{platform}:{_fold(token)}", m.start(), end)
         )
     return out
 
@@ -336,7 +343,7 @@ def _canonicalize_span(
             platform = _platform(m.group(1))
         if platform is None:
             return None
-        return Identifier("social_handle", span_text, f"{platform}:{token.lower()}", start, end)
+        return Identifier("social_handle", span_text, f"{platform}:{_fold(token)}", start, end)
     return None
 
 

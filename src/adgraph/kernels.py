@@ -19,6 +19,7 @@ _HASH_BASE = _U64(1099511628211)
 _MIX1 = _U64(0xFF51AFD7ED558CCD)
 _MIX2 = _U64(0xC4CEB9FE1A85EC53)
 _SHIFT33 = _U64(33)
+_BAND_MIX = _U64(0x9E3779B97F4A7C15)
 
 # pairs that levenshtein_many advances together: every text column costs
 # the same few dozen numpy calls whatever the block's size
@@ -338,9 +339,11 @@ def _shingle_pass(texts: Sequence[str], k: int) -> list[np.ndarray]:
 _SKETCH_BINS = 4096
 _SKETCH_ROWS = 64
 _SKETCH_PAIRS = 1024
-# texts whose shingles are hashed and signed at once, and candidate keys
-# length-filtered at once
+# texts whose shingles are hashed and signed at once; shingles whose
+# signature products are made at once (256-row tiles, 256 KB each, raised
+# the chain's peak RSS); and candidate keys length-filtered at once
 _SIGN_TEXTS = 256
+_SIGN_CHUNK = 128
 _FILTER_KEYS = 1 << 16
 
 
@@ -460,33 +463,74 @@ def _hash_params(cfg: SimilarityConfig) -> tuple[np.ndarray, np.ndarray]:
 def _signature_matrix(shingles: Sequence[np.ndarray], cfg: SimilarityConfig) -> np.ndarray:
     """One minhash signature row per non-empty shingle array.
 
-    Each row is its own (shingles x num_signatures) product, made in one
-    buffer the size of the largest, so the temporary stays the size of
-    one text's shingle set.
+    A row is the column minimum of its (shingles x num_signatures)
+    product, made _SIGN_CHUNK shingles at a time. Each chunk's shingles
+    are copied across a buffer first, so the multiply and the add run on
+    contiguous operands (the multiplier and addend held as tiles of the
+    same shape), where numpy is several times faster than with a
+    broadcast operand; the buffer and tiles stay at _SIGN_CHUNK rows.
     """
     mult, add = _hash_params(cfg)
+    chunk = _SIGN_CHUNK
     sigs = np.empty((len(shingles), cfg.num_signatures), dtype=_U64)
-    buf = np.empty((max((arr.size for arr in shingles), default=0), cfg.num_signatures), dtype=_U64)
+    buf = np.empty((chunk, cfg.num_signatures), dtype=_U64)
+    mult_tile = np.tile(mult, (chunk, 1))
+    add_tile = np.tile(add, (chunk, 1))
     for row, arr in zip(sigs, shingles):
-        prod = buf[: arr.size]
-        np.multiply(arr[:, None], mult, out=prod)
-        prod += add
-        np.minimum.reduce(prod, axis=0, out=row)
+        for lo in range(0, arr.size, chunk):
+            part = arr[lo : lo + chunk]
+            prod = buf[: part.size]
+            prod[...] = part[:, None]
+            prod *= mult_tile[: part.size]
+            prod += add_tile[: part.size]
+            if lo:  # fold the minimum of the chunks before into this one
+                np.minimum(prod[0], row, out=prod[0])
+            np.minimum.reduce(prod, axis=0, out=row)
     return sigs
+
+
+def _buckets(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a (texts x rows) band grouped into buckets of equal
+    rows: an order of the row indices that puts each bucket's rows
+    together, in ascending index order, and the bucket starts in that
+    order, followed by the number of rows.
+
+    Each row is folded into one uint64 key (multiply and xor, column by
+    column), and the keys get one stable argsort. Equal rows give equal
+    keys. Where two different rows share a key, the order falls back to
+    a stable lexicographic sort of whole rows, so a bucket is always
+    exactly the rows equal on every value. The first value alone would
+    not do as the key: texts that agree on one minhash value often
+    differ on the band's others, so that fallback would run in every
+    band.
+    """
+    key = band[:, 0].copy()
+    for col in range(1, band.shape[1]):
+        key *= _BAND_MIX
+        key ^= band[:, col]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    same = key[1:] == key[:-1]
+    del key
+    at = np.flatnonzero(same)
+    if (band[order[at]] != band[order[at + 1]]).any():
+        order = np.lexsort(band.T[::-1])
+        ordered = band[order]
+        same = (ordered[1:] == ordered[:-1]).all(axis=1)
+    return order, np.flatnonzero(np.r_[True, ~same, True])
 
 
 def band_keys(texts: Sequence[str], cfg: SimilarityConfig):
     """Yield, band by band, the candidate keys a * n + b (a < b) of n texts.
 
     Texts of at least shingle_k chars go through minhash + banding: a
-    bucket is the texts whose signatures agree on every row of one band,
-    found by sorting the band's rows as fixed-width byte keys, so only
-    exact equality buckets. The pairs of all buckets of one size come
-    from one (buckets x size) table of members and its upper triangle.
-    A pair appears once per band it shares a bucket in; shorter texts
-    get no keys. Shingles are hashed _SIGN_TEXTS texts at a time and
-    only their signatures kept, and the signatures are freed once the
-    last band is yielded.
+    bucket is the texts whose signatures agree on every row of one band
+    (_buckets), so only exact equality buckets. The pairs of all buckets
+    of one size come from one (buckets x size) table of members and its
+    upper triangle. A pair appears once per band it shares a bucket in;
+    shorter texts get no keys. Shingles are hashed _SIGN_TEXTS texts at a
+    time and only their signatures kept, and the signatures are freed
+    once the last band is yielded.
     """
     n = len(texts)
     ids = [i for i, text in enumerate(texts) if len(text) >= cfg.shingle_k]
@@ -499,13 +543,7 @@ def band_keys(texts: Sequence[str], cfg: SimilarityConfig):
     ids = np.array(ids, dtype=np.int64)
     rows = cfg.rows_per_band
     for band in range(cfg.bands):
-        keys = np.ascontiguousarray(sigs[:, band * rows : (band + 1) * rows])
-        keys = keys.view(np.dtype((np.void, keys.dtype.itemsize * rows))).ravel()
-        # stable, so members of a bucket stay in ascending index order
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
-        del keys, ordered
+        order, starts = _buckets(sigs[:, band * rows : (band + 1) * rows])
         sizes = np.diff(starts)
         members = ids[order]
         out = [np.empty(0, dtype=np.int64)]

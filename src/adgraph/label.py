@@ -153,22 +153,24 @@ def _sample_pairs(
     texts: Mapping[str, str],
     cfg: LabelingConfig,
     rng: random.Random,
+    want: int,
 ) -> list[tuple[str, str, float]]:
-    """Up to pairs_per_class admissible pairs below pair_sim_threshold.
+    """Up to want admissible pairs below pair_sim_threshold.
 
     A pair's two ads come from one group; counts[k] is group k's number
     of admissible pairs. Small pools are enumerated and shuffled; large
     ones are rejection-sampled, each group drawn in proportion to its
-    count, until the attempt budget runs out. Candidates are scored in
-    batches, never more than the pairs still wanted, so the pairs kept
-    and the RNG draws are those of scoring one candidate at a time.
+    count, until the attempt budget runs out. The budget depends on
+    pairs_per_class, not on want, so the pairs kept for a smaller want
+    are a prefix of those kept for a larger one. Candidates are scored
+    in batches, never more than the pairs still wanted, so the pairs
+    kept and the RNG draws are those of scoring one candidate at a time.
     """
     total = sum(counts)
-    if total == 0:
+    if total == 0 or want == 0:
         return []
 
     threshold = cfg.pair_sim_threshold
-    want = cfg.pairs_per_class
     out: list[tuple[str, str, float]] = []
 
     def keep(batch: list[tuple[str, str]]) -> None:
@@ -193,7 +195,7 @@ def _sample_pairs(
     cum = list(itertools.accumulate(counts))
     seen: set[tuple[str, str]] = set()
     attempts = 0
-    budget = max(60 * want, 10_000)
+    budget = max(60 * cfg.pairs_per_class, 10_000)
     while len(out) < want and attempts < budget:
         batch: list[tuple[str, str]] = []
         while len(out) + len(batch) < want and attempts < budget:
@@ -248,9 +250,12 @@ def generate_oad_pairs(
         texts,
         cfg,
         random.Random(f"{cfg.seed}:oad:pos"),
+        cfg.pairs_per_class,
     )
 
-    # negatives: two ads of different components on one split side
+    # negatives: two ads of different components on one split side. Both
+    # classes are cut to the smaller, so no more negatives are scored than
+    # positives were found; they are a prefix of the full draw.
     by_split: dict[str, list[str]] = {"train": [], "test": []}
     for cid, members in sorted(graph.components.items()):
         by_split[split_of[cid]].extend(members)
@@ -267,17 +272,18 @@ def generate_oad_pairs(
         texts,
         cfg,
         random.Random(f"{cfg.seed}:oad:neg"),
+        min(cfg.pairs_per_class, len(positives)),
     )
 
-    keep = min(len(positives), len(negatives))
+    keep = len(negatives)
     if keep < cfg.pairs_per_class:
+        short = "negative" if keep < len(positives) else "positive"
         log.warning(
-            "pair candidates exhausted: kept %d of %d wanted per class "
-            "(%d positive, %d negative pairs found)",
+            "pair candidates exhausted: kept %d of %d wanted per class (the %s class ran out at %d)",
             keep,
             cfg.pairs_per_class,
-            len(positives),
-            len(negatives),
+            short,
+            keep,
         )
 
     pairs = [
@@ -286,7 +292,7 @@ def generate_oad_pairs(
     ]
     pairs.extend(
         LabeledPair(a, b, 0, sim, split_of[comp_of[a]])
-        for a, b, sim in negatives[:keep]
+        for a, b, sim in negatives
     )
     return pairs
 

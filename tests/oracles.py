@@ -8,9 +8,11 @@ enumeration. Slow but obviously correct on small inputs.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import re
+import string
 import xml.etree.ElementTree as ET
 from collections import deque
 
@@ -289,7 +291,8 @@ def wilcoxon_exact_ref(diffs: list[float]) -> tuple[float, float]:
 # from atoms_ref's letter-run tokenizer, the other three regexes without
 # leading lookaheads, every scan run on every text, and chains dropped
 # only after the homophone pass. The platform a matched word names is
-# found by matching each platform word again, so the letters IGNORECASE
+# found by matching each platform word again, and a handle token's letters
+# are lowered to the ASCII letter each matches, so the letters IGNORECASE
 # folds need no table. Canonical forms come from the package.
 _EMAIL_RE_REF = re.compile(r"[A-Za-z0-9._%+\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}")
 _URL_RE_REF = re.compile(r"https?://[^\s<>\"']+", re.IGNORECASE)
@@ -357,6 +360,12 @@ def deobfuscate_phone_ref(text: str) -> list[tuple[str, tuple[int, int]]]:
     return matches
 
 
+@functools.lru_cache(maxsize=None)
+def _ascii_lower_ref(ch: str) -> str:
+    """The lowercase ASCII letter a Unicode IGNORECASE matches ch as, else ch."""
+    return next((c for c in string.ascii_lowercase if re.fullmatch(c, ch, re.IGNORECASE)), ch)
+
+
 def scan_text_ref(text: str) -> list:
     """Phones, emails, handles and urls in text, in extract._scan_text's order."""
     Identifier = extract.Identifier
@@ -368,14 +377,14 @@ def scan_text_ref(text: str) -> list:
     for m in _EMAIL_RE_REF.finditer(text):
         out.append(Identifier("email", m.group(), m.group().lower(), m.start(), m.end()))
     for m in _HANDLE_RE_REF.finditer(text):
-        token = m.group(2).rstrip(".-")
-        if len(token) < 2 or token.lower() in _PLATFORMS_REF:
+        token = "".join(map(_ascii_lower_ref, m.group(2).rstrip(".-")))
+        if len(token) < 2 or token in _PLATFORMS_REF:
             continue
         word = m.group(1)
         platform = next(v for k, v in _PLATFORMS_REF.items() if re.fullmatch(k, word, re.IGNORECASE))
         end = m.start(2) + len(token)
         out.append(
-            Identifier("social_handle", text[m.start() : end], f"{platform}:{token.lower()}", m.start(), end)
+            Identifier("social_handle", text[m.start() : end], f"{platform}:{token}", m.start(), end)
         )
     for m in _URL_RE_REF.finditer(text):
         raw = m.group().rstrip(_URL_TRAIL_REF)

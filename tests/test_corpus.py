@@ -365,6 +365,43 @@ _HANDED = {
 }
 
 
+# JSON values nested two deep: strings with non-ASCII letters, controls,
+# quotes and lone surrogates, and the floats whose spelling is easy to get
+# wrong
+_JSON_SCALAR = st.one_of(
+    st.text(),
+    st.sampled_from(["é", "\x00\x1f\x7f", '"\\/', "\ud800", "\U0001F600", "\u2028"]),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e-7, 1e300]),
+    st.booleans(),
+    st.none(),
+)
+_JSON_VALUE = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestEncodeRow:
+    @given(st.dictionaries(st.text(max_size=8), _JSON_VALUE, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps(self, row):
+        assert corpus._encode_row(row) == json.dumps(row, ensure_ascii=False, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"x", {"a": [object()]}])
+    def test_a_value_that_is_not_json_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            corpus._encode_row({"k": value})
+
+    def test_without_the_c_encoder_falls_back_to_encode(self, monkeypatch):
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        encode = corpus._row_encoder()
+        row = {"b": [1.5, float("nan")], "a": "é"}
+        assert encode(row) == json.dumps(row, ensure_ascii=False, sort_keys=True)
+
+
 class TestHandedRowsRoundTrip:
     @pytest.mark.parametrize("name", sorted(_HANDED))
     def test_parse_of_the_written_row_equals_the_object(self, name):

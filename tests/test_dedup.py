@@ -392,6 +392,96 @@ class TestSignatureMatrix:
         for row, arr in zip(sigs, shingles):
             assert row.tolist() == minhash_ref(arr.tolist(), mult, add)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, kernels._SIGN_CHUNK])
+    def test_chunks_equal_one_broadcast_product(self, chunk, monkeypatch):
+        # 1 shingle, exactly one chunk, one over, and several chunks with a
+        # remainder, against the whole product made at once by broadcasting
+        monkeypatch.setattr(kernels, "_SIGN_CHUNK", chunk)
+        cfg = dedup.SimilarityConfig()
+        mult, add = kernels._hash_params(cfg)
+        rng = np.random.default_rng(chunk)
+        sizes = [1, chunk, chunk + 1, 3 * chunk + 2, 1, 2 * chunk]
+        shingles = [rng.integers(0, 2**64, size=size, dtype=np.uint64) for size in sizes]
+        sigs = kernels._signature_matrix(shingles, cfg)
+        for row, arr in zip(sigs, shingles):
+            assert row.tolist() == (arr[:, None] * mult + add).min(axis=0).tolist()
+
+
+def _buckets_ref(band):
+    """Each distinct row's indices, ascending, keyed by the row as a tuple."""
+    groups = {}
+    for i, row in enumerate(band.tolist()):
+        groups.setdefault(tuple(row), []).append(i)
+    return sorted(groups.values())
+
+
+def _band_key_ref(row):
+    """The uint64 key kernels._buckets folds a band row into, in Python integers."""
+    mask, key = (1 << 64) - 1, row[0]
+    for value in row[1:]:
+        key = ((key * int(kernels._BAND_MIX)) & mask) ^ value
+    return key
+
+
+class TestBuckets:
+    def _check(self, band):
+        order, starts = kernels._buckets(band)
+        got = [order[lo:hi].tolist() for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())]
+        assert all(members == sorted(members) for members in got)
+        assert sorted(got) == _buckets_ref(band)
+        assert starts[-1] == len(band) and sorted(order.tolist()) == list(range(len(band)))
+
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_rows_share_a_bucket(self, rows, seed):
+        # small values, so rows repeat and often agree on some values only
+        rng = np.random.default_rng(seed)
+        self._check(rng.integers(0, 3, size=(60, rows), dtype=np.uint64))
+
+    def test_key_collision_falls_back_to_whole_rows(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        band = rng.integers(0, 2**64, size=(40, 4), dtype=np.uint64)
+        band[[3, 17, 30]] = band[8]  # a bucket of four
+        # different rows whose keys equal row 5's: another first value, and
+        # the last value that folds to the same key
+        mask = (1 << 64) - 1
+        target = _band_key_ref([int(v) for v in band[5]])
+        for i, first in ((11, 7), (25, 2**63 + 1)):
+            row = [first] + [int(v) for v in band[5, 1:3]]
+            prefix = _band_key_ref(row)
+            row.append(target ^ ((prefix * int(kernels._BAND_MIX)) & mask))
+            band[i] = row
+            assert _band_key_ref(row) == target and band[i].tolist() != band[5].tolist()
+        fell_back = []
+        real_lexsort = np.lexsort
+        monkeypatch.setattr(kernels.np, "lexsort", lambda keys: fell_back.append(1) or real_lexsort(keys))
+        self._check(band)
+        assert fell_back == [1]
+
+    def test_no_fallback_without_a_collision(self, monkeypatch):
+        band = np.random.default_rng(3).integers(0, 4, size=(50, 4), dtype=np.uint64)
+        monkeypatch.setattr(kernels.np, "lexsort", None)  # would raise if called
+        self._check(band)
+
+    def test_band_keys_equal_dict_of_tuples_reference(self):
+        rng = random.Random(17)
+        base = [_random_text(rng, rng.randint(20, 80)) for _ in range(6)]
+        texts = base + [_mutate(rng, t, rng.randint(0, 4)) for t in base for _ in range(3)] + ["abc", ""]
+        cfg = dedup.SimilarityConfig()
+        n = len(texts)
+        mult, add = (p.tolist() for p in kernels._hash_params(cfg))
+        ids = [i for i, t in enumerate(texts) if len(t) >= cfg.shingle_k]
+        sigs = {i: minhash_ref(shingle_hashes_ref(texts[i], cfg.shingle_k), mult, add) for i in ids}
+        rows = cfg.rows_per_band
+        got = list(kernels.band_keys(texts, cfg))
+        assert len(got) == cfg.bands and any(len(keys) for keys in got)
+        for band, keys in enumerate(got):
+            buckets = {}
+            for i in ids:
+                buckets.setdefault(tuple(sigs[i][band * rows : (band + 1) * rows]), []).append(i)
+            want = [a * n + b for members in buckets.values() for a, b in itertools.combinations(members, 2)]
+            assert sorted(keys.tolist()) == sorted(want)
+
 
 ALPHABET = "abcdef "
 

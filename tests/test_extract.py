@@ -219,6 +219,11 @@ class TestScannersMatchReference:
             "\u017fnap me",
             "\u0131nsta",
             "\u0131nsta: bobby @ x.com http://a.b/C",
+            "snap \u017fam",
+            "snap \u0130van",
+            "ig \u0131van",
+            "tg \u212aim",
+            "snap \u0131nsta",
         ],
     )
     def test_pinned(self, text):
@@ -245,6 +250,20 @@ class TestScannersMatchReference:
             assert [i.canonical for i in extract._scan_text(f"{word} bob")] == ["instagram:bob"]
         assert extract.deobfuscate_phone("call 555 123 014 now") == []
         assert extract.deobfuscate_phone("call 555 123 0147 now") == [("5551230147", (5, 17))]
+
+    @pytest.mark.parametrize(
+        "trap, plain, platform_word",
+        [("\u017f", "s", "\u017fnap"), ("\u0130", "i", "\u0130g"), ("\u0131", "i", "\u0131g"), ("\u212a", "k", None)],
+    )
+    def test_a_handle_token_folds_the_letters_ignorecase_reads_as_ascii(self, trap, plain, platform_word):
+        # the handle class [A-Za-z0-9_] admits the four under IGNORECASE;
+        # the handle is the one its ASCII spelling names, so the two ads link
+        canon = {i.canonical for i in extract.extract_identifiers(None, *ad_texts(f"snap {trap}am x"))}
+        assert canon == {f"snapchat:{plain}am"}
+        assert canon == {i.canonical for i in extract.extract_identifiers(None, *ad_texts(f"snap {plain}am x"))}
+        # a token that folds to a platform word is skipped like that word
+        if platform_word is not None:
+            assert extract._scan_handles(f"tg {platform_word}") == []
 
 
 class TestMergeIdentifiers:
@@ -460,6 +479,17 @@ class TestImportAnnotations:
         found, rejects = extract.import_annotations(path, {"a1": text})
         assert rejects == []
         assert found["a1"][0].canonical == "instagram:lolapetal"
+
+    def test_handle_token_with_a_folded_letter(self, tmp_path):
+        text = "add my snap lola\u017fam today"
+        t0 = text.index("snap")
+        path = self._write(
+            tmp_path,
+            [{"ad_id": "a1", "spans": [{"start": t0, "end": t0 + 12, "label": "social_handle"}]}],
+        )
+        found, rejects = extract.import_annotations(path, {"a1": text})
+        assert rejects == []
+        assert found["a1"][0].canonical == "snapchat:lolasam"
 
     def test_leading_bom_is_skipped(self, tmp_path):
         text = "mail foo@example.net"

@@ -207,7 +207,15 @@ class TestOadPairs:
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1
         assert "kept 1 of 50 wanted per class" in warnings[0].getMessage()
-        assert "(1 positive, " in warnings[0].getMessage()
+        assert "(the positive class ran out at 1)" in warnings[0].getMessage()
+
+    def test_exhaustion_names_the_negative_class_when_it_runs_out(self, caplog):
+        # one component per split side, so no negative pair exists
+        graph = make_graph([["a%d" % i for i in range(8)], ["b1", "b2"]])
+        assert label.generate_oad_pairs(graph, random_texts(graph), cfg(pairs_per_class=5)) == []
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "kept 0 of 5 wanted per class (the negative class ran out at 0)" in warnings[0].getMessage()
 
     # drawn at a fixed seed; any change to the sampler's draw order moves them
     FIXED = {
@@ -287,8 +295,8 @@ class TestBatchedSampler:
 
     GROUPS = TestOadPairs.GROUPS + [["g%d" % i for i in range(9)]]
 
-    def _both(self, limit, seed, per_class, threshold, monkeypatch):
-        monkeypatch.setattr(label, "_ENUMERATE_LIMIT", limit)
+    def _cases(self, seed, per_class, threshold):
+        """(groups, counts, admissible, texts, cfg) for positives and negatives."""
         graph = make_graph(self.GROUPS)
         texts = random_texts(graph, seed=seed)
         # near copies, so the cap rejects some same-group candidates
@@ -301,8 +309,12 @@ class TestBatchedSampler:
             ([sorted(m) for m in self.GROUPS], [len(m) * (len(m) - 1) // 2 for m in self.GROUPS], lambda a, b: True),
             ([nodes], [len(nodes) * (len(nodes) - 1) // 2], lambda a, b: comp_of[a] != comp_of[b]),
         ]
-        for groups, counts, admissible in cases:
-            got = label._sample_pairs(groups, counts, admissible, texts, c, random.Random(seed))
+        return [(*case, texts, c) for case in cases]
+
+    def _both(self, limit, seed, per_class, threshold, monkeypatch):
+        monkeypatch.setattr(label, "_ENUMERATE_LIMIT", limit)
+        for groups, counts, admissible, texts, c in self._cases(seed, per_class, threshold):
+            got = label._sample_pairs(groups, counts, admissible, texts, c, random.Random(seed), per_class)
             want = sample_pairs_ref(groups, counts, admissible, texts, c, random.Random(seed), limit)
             yield got, want
 
@@ -321,6 +333,39 @@ class TestBatchedSampler:
         (positives, want_pos), (negatives, want_neg) = self._both(limit, 4, 200, 0.075, monkeypatch)
         assert positives == want_pos and negatives == want_neg
         assert 0 < len(positives) < 60
+
+    def test_budget_follows_pairs_per_class_not_want(self, monkeypatch):
+        # one pool of 200 ads where only pairs with "b000" pass the cap, so
+        # kept pairs trickle in until the budget, 60 x 300 draws, ends the
+        # draw; a smaller want must not shorten it
+        monkeypatch.setattr(label, "_ENUMERATE_LIMIT", 1)
+        nodes = ["b%03d" % i for i in range(200)]
+        texts = dict.fromkeys(nodes, "aaaa")
+        texts["b000"] = "zzzz"
+        c = cfg(pairs_per_class=300, pair_sim_threshold=0.5)
+        args = ([nodes], [len(nodes) * (len(nodes) - 1) // 2], lambda a, b: True, texts, c)
+        full = sample_pairs_ref(*args, random.Random(5), 1)
+        assert 0 < len(full) < 199
+        assert label._sample_pairs(*args, random.Random(5), len(full)) == full
+
+    @pytest.mark.parametrize("limit", [200_000, 1], ids=["enumerate", "rejection"])
+    @pytest.mark.parametrize(
+        "per_class, threshold", [(30, 0.5), (200, 0.075)], ids=["want-binds", "pool-or-budget-binds"]
+    )
+    def test_smaller_want_keeps_a_prefix(self, limit, per_class, threshold, monkeypatch):
+        # label-oad asks for no more negatives than it found positives; the
+        # pairs kept are the first of those a full-size draw keeps
+        monkeypatch.setattr(label, "_ENUMERATE_LIMIT", limit)
+        cases = self._cases(3, per_class, threshold)
+        for i, (groups, counts, admissible, texts, c) in enumerate(cases):
+            full = sample_pairs_ref(groups, counts, admissible, texts, c, random.Random(3), limit)
+            if per_class == 200 and i == 0:  # the positive pool runs dry, or the budget ends the draw
+                assert len(full) < per_class
+            n = len(full)
+            # label-oad never wants more than pairs_per_class
+            for k in sorted({0, 1, 2, n // 2, max(n - 1, 0), n, min(n + 3, per_class), per_class}):
+                got = label._sample_pairs(groups, counts, admissible, texts, c, random.Random(3), k)
+                assert got == full[:k]
 
 
 class TestHtrpFeatures:
