@@ -10,6 +10,7 @@ to stdout, unless --quiet.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -137,6 +138,18 @@ _FLAG_KEYS = (
 
 
 def main(argv: list[str] | None = None) -> int:
+    status = _main(argv)
+    if argv is None:
+        # the `adgraph` program, not a library caller, is about to exit.
+        # Frozen objects are out of reach of the collection the interpreter
+        # runs at exit, which would otherwise traverse every live object to
+        # free none. The chain's raised thresholds are restored by now, so
+        # the young generation is back to its usual few hundred objects.
+        gc.freeze()
+    return status
+
+
+def _main(argv: list[str] | None) -> int:
     # The package's one numpy module, kernels, uses only elementwise
     # ufuncs, sort and search, never BLAS, so an OpenBLAS worker pool
     # would only spin idle. OpenBLAS reads this when kernels first imports

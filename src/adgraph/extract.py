@@ -51,13 +51,16 @@ _PLATFORMS = {
     "whatsapp": "whatsapp",
 }
 _PLATFORM_RE = r"\b(%s)\b" % "|".join(sorted(_PLATFORMS, key=lambda w: (-len(w), w)))
+_HANDLE_TOKEN = r"[A-Za-z0-9_][A-Za-z0-9_.\-]{1,30}"
 # the lookahead holds the platforms' first letters; under a Unicode-mode
-# IGNORECASE it also admits U+017F, U+0130 and U+0131, as the words do
+# IGNORECASE it also admits U+017F, U+0130 and U+0131, as the words do,
+# and the token admits those and U+212A
 _HANDLE_RE = re.compile(
-    r"(?=[sitw])" + _PLATFORM_RE + r"(?=[\s:.\-–—@]{0,4}([A-Za-z0-9_][A-Za-z0-9_.\-]{1,30}))",
+    r"(?=[sitw])" + _PLATFORM_RE + r"(?=[\s:.\-–—@]{0,4}(" + _HANDLE_TOKEN + "))",
     re.IGNORECASE,
 )
-_HANDLE_TOKEN_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]{1,30}$")
+# an annotated token stands alone, and admits what _HANDLE_RE's token does
+_HANDLE_TOKEN_RE = re.compile(_HANDLE_TOKEN, re.IGNORECASE)
 # a Unicode IGNORECASE matches four code points as ASCII letters. str.lower
 # maps U+212A to "k", but keeps U+017F ("s") and U+0131 ("i") and turns
 # U+0130 ("i") into two characters, so platform words and handle tokens

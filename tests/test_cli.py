@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -398,3 +399,24 @@ class TestBrokenPipe:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "BrokenPipeError" not in proc.stderr
+
+
+class TestProgramExit:
+    """Only the program, which parsed sys.argv itself, freezes its heap,
+    and only once the chain's collector thresholds are restored."""
+
+    def test_the_program_freezes_once_and_a_caller_with_argv_never(self, tmp_path, monkeypatch):
+        froze = []
+        monkeypatch.setattr(gc, "freeze", lambda: froze.append(gc.get_threshold()))
+        workdir = str(tmp_path / "w")
+        args = ["--workdir", workdir, "--n-ads", "60", "--n-components", "8", "--quiet"]
+        assert run(["synth", *args]) == 0
+        assert run(["all", "--workdir", workdir, "--quiet"]) == 0
+        assert froze == []
+        monkeypatch.setattr(sys, "argv", ["adgraph", "all", "--workdir", workdir, "--quiet", "--force"])
+        assert main() == 0
+        assert froze == [gc.get_threshold()]
+        # an error exit freezes too: the interpreter exits either way
+        monkeypatch.setattr(sys, "argv", ["adgraph", "dedup", "--workdir", str(tmp_path / "none"), "--quiet"])
+        assert main() == 1
+        assert len(froze) == 2

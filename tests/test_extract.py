@@ -491,6 +491,21 @@ class TestImportAnnotations:
         assert rejects == []
         assert found["a1"][0].canonical == "snapchat:lolasam"
 
+    @pytest.mark.parametrize("letter, plain", [("\u017f", "s"), ("\u0130", "i"), ("\u0131", "i"), ("\u212a", "k")])
+    def test_bare_handle_token_with_a_folded_letter_is_the_scanners(self, tmp_path, letter, plain):
+        # no platform word inside the span: the token alone must pass the check
+        text = f"add my snap {letter}amlola today"
+        t0 = text.index(letter)
+        path = self._write(
+            tmp_path,
+            [{"ad_id": "a1", "spans": [{"start": t0, "end": t0 + 7, "label": "social_handle"}]}],
+        )
+        found, rejects = extract.import_annotations(path, {"a1": text})
+        assert rejects == []
+        scanned = [i.canonical for i in extract.extract_identifiers(None, *ad_texts(text))]
+        assert scanned == [f"snapchat:{plain}amlola"]
+        assert [i.canonical for i in found["a1"]] == scanned
+
     def test_leading_bom_is_skipped(self, tmp_path):
         text = "mail foo@example.net"
         path = tmp_path / "ann.jsonl"

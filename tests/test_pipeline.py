@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import shutil
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import adgraph
-from adgraph import corpus, extract, pipeline
+from adgraph import cli, corpus, extract, pipeline
 from adgraph.config import DEFAULTS, config_hash, load_config
 from adgraph.corpus import CSV_COLUMNS, build_original_text, read_jsonl, to_row
 from adgraph.errors import PipelineError
@@ -398,6 +399,58 @@ class TestOneContextPerChain:
         for name in ALL_CHAIN:
             assert run_stage(name, cfg)["ran"]
         assert artifact_bytes(tmp_path / "w") == artifact_bytes(full_run[0])
+
+
+class TestCollectorLeftAsFound:
+    """Stages run under raised collector thresholds; a library caller's
+    interpreter is given back as it was found, on failure too."""
+
+    @pytest.fixture()
+    def sentinel(self):
+        saved = gc.get_threshold()
+        gc.set_threshold(1234, 5, 6)
+        try:
+            yield
+        finally:
+            gc.set_threshold(*saved)
+
+    @staticmethod
+    def settings():
+        return gc.get_threshold(), gc.isenabled(), gc.get_freeze_count()
+
+    def test_run_all_run_stage_and_the_cli_restore_the_callers_settings(self, sentinel, tmp_path, monkeypatch):
+        before = self.settings()
+        assert before[0] == (1234, 5, 6)
+        seen = set()
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                seen.add(gc.get_threshold())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # the thresholds run_all calls each stage under, and a stage works under
+        monkeypatch.setattr(pipeline, "run_stage", recording(pipeline.run_stage))
+        monkeypatch.setattr(pipeline, "_check_inputs", recording(pipeline._check_inputs))
+        cfg = make_cfg(tmp_path / "w")
+        assert run_stage("synth", cfg)["ran"]
+        assert self.settings() == before
+        assert all(r["ran"] for r in run_all(cfg))
+        assert self.settings() == before
+        assert seen == {pipeline._CHAIN_GC_THRESHOLD}
+        argv = ["all", "--workdir", str(cfg.workdir), "--quiet", "--force", *(f"--set={s}" for s in SYNTH_ARGS)]
+        assert cli.main(argv) == 0
+        assert self.settings() == before
+
+    def test_a_failing_stage_restores_the_callers_settings(self, sentinel, tmp_path):
+        before = self.settings()
+        cfg = make_cfg(tmp_path / "w")
+        run_stage("synth", cfg)
+        with pytest.raises(PipelineError, match="run the 'ingest' stage first"):
+            run_stage("dedup", cfg)
+        assert self.settings() == before
+        assert cli.main(["dedup", "--workdir", str(cfg.workdir), "--quiet"]) == 1
+        assert self.settings() == before
 
 
 # small corpora of perfbench's three workload shapes; relabel reruns a

@@ -22,6 +22,12 @@ def test_probe_reports_every_stage_of_the_chain(tmp_path):
     assert list(report["stages"]) == ["synth", *ALL_CHAIN]
     for stage in report["stages"].values():
         assert stage["s"] >= 0 and stage["rss_mb"] > 0
+        assert len(stage["collections"]) == 3 and min(stage["collections"]) >= 0
+    # collections per generation: the chain's are at least its stages', and
+    # under the chain's thresholds none of them is a full collection
+    for gen in range(3):
+        assert report["collections"][gen] >= sum(report["stages"][name]["collections"][gen] for name in ALL_CHAIN)
+    assert report["collections"][2] == 0
     assert report["chain_s"] >= sum(report["stages"][name]["s"] for name in ALL_CHAIN) - 0.01
     assert report["peak_rss_mb"] >= max(stage["rss_mb"] for stage in report["stages"].values()) - 1.0
     # the synth stage wrote 300 ads, and the chain ran to its last outputs

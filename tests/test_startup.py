@@ -1,10 +1,14 @@
 """Start-up guard: numpy loads only in the stages that compute with it,
-ElementTree not at all, and the CLI starts no BLAS worker threads.
+ElementTree not at all, and the CLI starts no BLAS worker threads. A cold
+chain runs no full collection, and the program, which freezes its heap
+before exit, writes what the library calls write.
 
 Each check runs in a fresh interpreter, because this process has numpy
-loaded already, and reads which modules that interpreter ended with.
+loaded already and its own collector history, and reads which modules
+that interpreter ended with or what its collector did.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from adgraph.analysis import render_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -30,10 +36,12 @@ RELABEL = ["--set", "label.distance_threshold_miles=690", "--set", "label.phone_
 
 def state_after(*commands: list[str], report: str, env: dict[str, str] | None = None):
     """The JSON value of the expression `report` in a fresh interpreter
-    once cli.main has run each command."""
+    once cli.main has run each command. `report` may read `stats_before`,
+    gc.get_stats() from before the first command."""
     script = (
-        "import json, os, sys\n"
+        "import gc, json, os, sys\n"
         "from adgraph import cli\n"
+        "stats_before = gc.get_stats()\n"
         f"for argv in {commands!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
         f"print(json.dumps({report}))\n"
@@ -91,6 +99,47 @@ def test_relabel_and_up_to_date_reruns_load_no_numpy(base_chain):
         "label-htrp.json",
         "compare.json",
     }
+
+
+FULL_COLLECTIONS = 'gc.get_stats()[2]["collections"] - stats_before[2]["collections"]'
+
+
+def workdir_digests(workdir: Path) -> dict[str, str]:
+    return {
+        str(p.relative_to(workdir)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(workdir.rglob("*"))
+        if p.is_file()
+    }
+
+
+# perfbench's relabel shape. On BASE's 120 ads the collector's default
+# thresholds run no full collection either; on these 2,000 they run three.
+GC_BASE = [
+    "--quiet",
+    "--set", "synth.n_ads=2000",
+    "--set", "synth.n_components=400",
+    "--set", "synth.dup_rate=0",
+    "--set", "synth.obfuscation_rate=1",
+]
+
+
+def test_a_cold_chain_runs_no_full_collection_and_the_program_writes_the_same(tmp_path):
+    inproc = tmp_path / "inproc"
+    commands = [[cmd, "--workdir", str(inproc), *GC_BASE] for cmd in ("synth", "all")]
+    assert state_after(*commands, report=FULL_COLLECTIONS) == 0
+    # the program freezes its heap before it exits; it still prints the
+    # whole report to a pipe and writes what the library calls wrote
+    program = tmp_path / "program"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for cmd in ("synth", "all"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "adgraph.cli", cmd, "--workdir", str(program), *GC_BASE[1:]],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    report = json.loads((program / "compare_report.json").read_text(encoding="utf-8"))
+    assert proc.stdout == render_report(report) + "\n"
+    assert workdir_digests(program) == workdir_digests(inproc)
 
 
 def dedup_commands(workdir: str) -> list[list[str]]:

@@ -1,13 +1,14 @@
-"""Time and memory of every stage of the chain, in one process.
+"""Time, memory and collector work of every stage of the chain, in one process.
 
     PYTHONPATH=src python3 tools/stage_probe.py --n-ads 100000 --workdir DIR
 
 Run from the root of a checkout. The `synth` stage writes n ads into DIR
 (seed --seed, n_components = n / 12.5, the other synth settings at their
-defaults), and then every stage of `pipeline.ALL_CHAIN` runs with
-force=True on one shared StageContext, as `adgraph all` does. The last
-line of stdout is one JSON object: each stage's wall seconds and the
-process's resident set right after it, the chain's total seconds, and the
+defaults), and then `pipeline.run_all` runs the chain with force=True, as
+`adgraph all --force` does. The last line of stdout is one JSON object:
+each stage's wall seconds, the process's resident set right after it and
+the collections the cyclic collector ran in it per generation (young,
+middle, full); the chain's total seconds and collections; and the
 process's peak RSS (`ru_maxrss`, which covers synth too). Artifacts stay
 in DIR. Resident sets are read from /proc/self/statm, so on a system
 without it they are null.
@@ -16,6 +17,7 @@ without it they are null.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import resource
@@ -25,8 +27,8 @@ import time
 # as the CLI does: kernels uses no BLAS, so no OpenBLAS thread should spin
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from adgraph import pipeline  # noqa: E402
 from adgraph.config import load_config  # noqa: E402
-from adgraph.pipeline import ALL_CHAIN, STAGES, StageContext, run_stage  # noqa: E402
 
 _PAGE_MB = os.sysconf("SC_PAGE_SIZE") / 2**20
 
@@ -40,6 +42,15 @@ def rss_mb() -> float | None:
         return None
 
 
+def collections() -> list[int]:
+    """How many collections each generation has run in this process."""
+    return [gen["collections"] for gen in gc.get_stats()]
+
+
+def since(before: list[int]) -> list[int]:
+    return [now - then for now, then in zip(collections(), before)]
+
+
 def probe(n_ads: int, workdir: str, seed: int = 0, threads: int = 1) -> dict:
     cfg = load_config(
         cli_values={
@@ -50,24 +61,38 @@ def probe(n_ads: int, workdir: str, seed: int = 0, threads: int = 1) -> dict:
             "synth.n_components": max(1, round(n_ads / 12.5)),
         }
     )
-    start = time.perf_counter()
-    run_stage("synth", cfg, force=True)
-    stages = {"synth": {"s": round(time.perf_counter() - start, 3), "rss_mb": rss_mb()}}
-    ctx = StageContext(cfg, force=True)
-    chain = time.perf_counter()
-    for i, name in enumerate(ALL_CHAIN):
+    stages = {}
+    run_stage = pipeline.run_stage
+
+    def timed(name, *args, **kwargs):
+        before = collections()
         start = time.perf_counter()
-        run_stage(name, cfg, force=True, ctx=ctx)
-        stages[name] = {"s": round(time.perf_counter() - start, 3), "rss_mb": rss_mb()}
-        # as run_all: a parse no later stage reads would only hold memory
-        later = {art for s in ALL_CHAIN[i + 1 :] for art in STAGES[s].inputs}
-        ctx.parsed = {key: obj for key, obj in ctx.parsed.items() if key[0] in later}
+        result = run_stage(name, *args, **kwargs)
+        stages[name] = {
+            "s": round(time.perf_counter() - start, 3),
+            "rss_mb": rss_mb(),
+            "collections": since(before),
+        }
+        return result
+
+    # run_all looks run_stage up in its module on every stage
+    pipeline.run_stage = timed
+    try:
+        timed("synth", cfg, force=True)
+        before = collections()
+        start = time.perf_counter()
+        pipeline.run_all(cfg, force=True)
+        chain_s = round(time.perf_counter() - start, 3)
+        chain_collections = since(before)
+    finally:
+        pipeline.run_stage = run_stage
     return {
         "n_ads": n_ads,
         "seed": seed,
         "threads": threads,
         "stages": stages,
-        "chain_s": round(time.perf_counter() - chain, 3),
+        "chain_s": chain_s,
+        "collections": chain_collections,
         # kilobytes on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
