@@ -19,7 +19,8 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, get_type_hints
+from types import UnionType
+from typing import IO, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .emoji import count_emoji
 from .errors import EmptyCorpusError, IngestError, PipelineError
@@ -257,13 +258,40 @@ def ingest(path: str | Path, fmt: str = "jsonl") -> tuple[list[AdRecord], list[R
     return records, rejects
 
 
+def _json_types(hint) -> frozenset[type]:
+    """The types a JSON value of a field typed hint may have: an int
+    stands for a float, a bool for no number."""
+    if hint is float:
+        return frozenset((int, float))
+    if hint is datetime:
+        return frozenset((str,))
+    if is_dataclass(hint):
+        return frozenset((dict,))
+    if isinstance(hint, UnionType):
+        return frozenset().union(*map(_json_types, get_args(hint)))
+    return frozenset((get_origin(hint) or hint,))
+
+
+def _item_types(hint) -> frozenset[type] | None:
+    """The JSON types of a list field's items or a dict field's values (a
+    JSON object's keys are always strings); None for any other field."""
+    if get_origin(hint) in (list, dict):
+        return _json_types(get_args(hint)[-1])
+    return None
+
+
 @lru_cache(maxsize=None)
-def _special_fields(cls: type) -> tuple[tuple[str, ...], tuple[tuple[str, type], ...]]:
-    """cls's datetime fields and its nested-dataclass fields with their types."""
+def _special_fields(cls: type):
+    """cls's datetime fields, its nested-dataclass fields with their types,
+    and each field's name, JSON types, item types and type name."""
     hints = get_type_hints(cls)
     stamps = tuple(name for name, hint in hints.items() if hint is datetime)
     nested = tuple((name, hint) for name, hint in hints.items() if is_dataclass(hint))
-    return stamps, nested
+    checks = tuple(
+        (name, _json_types(hint), _item_types(hint), str(hint) if get_origin(hint) else hint.__name__)
+        for name, hint in hints.items()
+    )
+    return stamps, nested, checks
 
 
 def to_row(obj) -> dict:
@@ -273,7 +301,7 @@ def to_row(obj) -> dict:
     every other field is written as it is.
     """
     row = dict(vars(obj))
-    stamps, nested = _special_fields(type(obj))
+    stamps, nested, _ = _special_fields(type(obj))
     for name in stamps:
         row[name] = row[name].isoformat()
     for name, _ in nested:
@@ -285,9 +313,20 @@ def from_row(cls: type, row: dict):
     """Inverse of to_row: rebuild a cls from its row.
 
     A row whose keys are not cls's fields (an artifact written in an
-    older format, or edited) raises PipelineError.
+    older format, or edited), or a value that does not fit its field's
+    type, raises PipelineError.
     """
-    stamps, nested = _special_fields(cls)
+    stamps, nested, checks = _special_fields(cls)
+    for name, types, item_types, type_name in checks:
+        if name not in row:
+            continue
+        value = row[name]
+        # container items are checked one level deep
+        if type(value) not in types or (
+            item_types is not None
+            and not set(map(type, value.values() if type(value) is dict else value)) <= item_types
+        ):
+            raise PipelineError(f"{cls.__name__} row has {name} of a type other than {type_name}")
     if stamps or nested:
         row = dict(row)
         try:
@@ -297,6 +336,8 @@ def from_row(cls: type, row: dict):
                 row[name] = from_row(hint, row[name])
         except KeyError as exc:
             raise _wrong_keys(cls, row) from exc
+        except ValueError as exc:
+            raise PipelineError(f"{cls.__name__} row has a timestamp that is not one ({exc})") from exc
     try:
         return cls(**row)
     except TypeError as exc:
@@ -369,6 +410,13 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
         while chunk := list(islice(rows, _WRITE_CHUNK_ROWS)):
             fh.write("\n".join(map(_encode_row, chunk)))
             fh.write("\n")
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write obj as one indented JSON document, sorted keys, no ASCII escapes."""
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

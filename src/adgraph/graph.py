@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import atomic_open, from_row, to_row
+from .corpus import atomic_open, from_row, to_row, write_json
 from .dedup import DuplicateCluster
 from .errors import PipelineError
 from .extract import Identifier
@@ -58,8 +58,6 @@ class ComponentStats:
 
     buckets: dict[str, int]
     total_components: int
-    total_nodes: int
-    largest_size: int
 
 
 BUCKET_LABELS = ("1", "2-10", "10-100", "100-1000", "1000+")
@@ -164,17 +162,9 @@ def build_graph(
 
 def component_stats(graph: RelatednessGraph) -> ComponentStats:
     buckets = {label: 0 for label in BUCKET_LABELS}
-    largest = 0
     for members in graph.components.values():
-        size = len(members)
-        buckets[size_bucket(size)] += 1
-        largest = max(largest, size)
-    return ComponentStats(
-        buckets=buckets,
-        total_components=len(graph.components),
-        total_nodes=len(graph.nodes),
-        largest_size=largest,
-    )
+        buckets[size_bucket(len(members))] += 1
+    return ComponentStats(buckets=buckets, total_components=len(graph.components))
 
 
 def stats_to_csv(stats: ComponentStats, path: str | Path) -> None:
@@ -213,9 +203,7 @@ def graph_from_dict(obj: dict) -> RelatednessGraph:
 
 
 def write_graph_json(graph: RelatednessGraph, path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(graph_to_dict(graph), fh, ensure_ascii=False, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, graph_to_dict(graph))
 
 
 def read_graph_json(path: str | Path) -> RelatednessGraph:

@@ -9,7 +9,9 @@ inputs, its config keys and its outputs, so a setting reruns only the
 stages that read it and those whose inputs then change. A stage refuses
 to run when an input artifact no longer matches the manifest of the
 stage that produced it, unless forced. Artifacts and manifests are
-written atomically, each manifest after its stage's outputs.
+written atomically, each manifest after its stage's outputs. An
+artifact's file name, writer and parser are one entry in FORMATS, and a
+reader in the same context gets the object that the writer encoded.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable
 from . import __version__, corpus, dedup, extract, synth
 from .analysis import compare_label_variants
 from .config import PipelineConfig, config_hash
-from .corpus import atomic_open, from_row, to_row
+from .corpus import from_row, to_row
 from .errors import ConfigError, PipelineError
 from .extract import Identifier
 from .graph import (
@@ -51,27 +53,6 @@ from .label import (
 
 log = logging.getLogger("adgraph")
 
-ARTIFACTS: dict[str, str] = {
-    "records": "records.jsonl",
-    "normalized": "normalized.jsonl",
-    "rejects": "rejects.jsonl",
-    "clusters": "clusters.jsonl",
-    "identifiers": "identifiers.jsonl",
-    "annotation_rejects": "annotation_rejects.jsonl",
-    "graph": "graph.json",
-    "stats": "component_stats.csv",
-    "split": "split.json",
-    "split_report": "split_report.json",
-    "oad_pairs": "oad_pairs.jsonl",
-    "htrp_labels": "htrp_labels.jsonl",
-    "htrp_variant_labels": "htrp_labels_variant.jsonl",
-    "compare_report": "compare_report.json",
-    "graphml": "graph.graphml",
-    "dot": "graph.dot",
-    "synth_corpus": "corpus.jsonl",
-    "ground_truth": "ground_truth.json",
-}
-
 
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
@@ -81,24 +62,29 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _pmap(fn: Callable, items: list, threads: int) -> list:
+def _pmap(fn: Callable, arg_tuples: list[tuple], threads: int) -> list:
+    """fn applied to each tuple of arguments, in order."""
     # worker startup is not free; small batches run inline
-    if threads <= 1 or len(items) < 512:
-        return [fn(x) for x in items]
+    if threads <= 1 or len(arg_tuples) < 512:
+        return [fn(*args) for args in arg_tuples]
     # imported here: the pool module costs start-up that inline runs skip
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(64, len(items) // (threads * 8))
+    chunk = max(64, len(arg_tuples) // (threads * 8))
     with ProcessPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items, chunksize=chunk))
+        return list(ex.map(fn, *zip(*arg_tuples), chunksize=chunk))
 
 
-def _extract_worker(key: tuple[str | None, str, str]) -> list[Identifier]:
-    return extract.extract_identifiers(*key)
+def _jsonl(path: Path, objs) -> None:
+    corpus.write_jsonl(path, map(to_row, objs))
 
 
 def _rows(cls: type) -> Callable[[Path], list]:
     return lambda path: [from_row(cls, row) for row in corpus.read_jsonl(path)]
+
+
+def _write_identifiers(path: Path, by_ad: dict[str, list[Identifier]]) -> None:
+    corpus.write_jsonl(path, ({"ad_id": ad_id, **to_row(i)} for ad_id, ids in by_ad.items() for i in ids))
 
 
 def _identifiers_by_ad(path: Path) -> dict[str, list[Identifier]]:
@@ -111,8 +97,12 @@ def _identifiers_by_ad(path: Path) -> dict[str, list[Identifier]]:
     return out
 
 
+def _write_split(path: Path, assignment: dict[int, str]) -> None:
+    corpus.write_json(path, {"components": {str(c): s for c, s in assignment.items()}})
+
+
 def _split_assignment(path: Path) -> dict[int, str]:
-    """The assignment _run_split wrote, in component order; PipelineError
+    """The assignment _write_split wrote, in component order; PipelineError
     if it is not one."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -128,30 +118,62 @@ def _split_assignment(path: Path) -> dict[int, str]:
     return assignment
 
 
-# how each artifact a stage reads is parsed; readers are looked up when
-# called, so a wrapper installed on the module function sees every read
+@dataclass(frozen=True)
+class Artifact:
+    """An artifact's file name, its writer (path, object), and its parser
+    if a stage reads it: what a stage writes must be what the parse returns."""
+
+    file: str
+    write: Callable[[Path, object], None]
+    parse: Callable[[Path], object] | None = None
+
+
+# writers and parsers look module functions up when called, so a wrapper
+# installed on one sees every write and read
+FORMATS: dict[str, Artifact] = {
+    "records": Artifact("records.jsonl", _jsonl, _rows(corpus.AdRecord)),
+    "normalized": Artifact("normalized.jsonl", _jsonl, _rows(corpus.NormalizedAd)),
+    "rejects": Artifact("rejects.jsonl", _jsonl),
+    "clusters": Artifact("clusters.jsonl", _jsonl, _rows(dedup.DuplicateCluster)),
+    # only ads with identifiers, in ad_id order
+    "identifiers": Artifact("identifiers.jsonl", _write_identifiers, _identifiers_by_ad),
+    "annotation_rejects": Artifact("annotation_rejects.jsonl", _jsonl),
+    "graph": Artifact("graph.json", lambda path, g: write_graph_json(g, path), lambda path: read_graph_json(path)),
+    "stats": Artifact("component_stats.csv", lambda path, stats: stats_to_csv(stats, path)),
+    # in component order
+    "split": Artifact("split.json", _write_split, _split_assignment),
+    "split_report": Artifact("split_report.json", corpus.write_json),
+    "oad_pairs": Artifact("oad_pairs.jsonl", _jsonl),
+    "htrp_labels": Artifact("htrp_labels.jsonl", _jsonl, _rows(LabeledAd)),
+    "htrp_variant_labels": Artifact("htrp_labels_variant.jsonl", _jsonl),
+    "compare_report": Artifact("compare_report.json", corpus.write_json),
+    # an export is written from (graph, component)
+    "graphml": Artifact("graph.graphml", lambda path, view: export_graphml(view[0], path, component=view[1])),
+    "dot": Artifact("graph.dot", lambda path, view: export_dot(view[0], path, component=view[1])),
+    "synth_corpus": Artifact("corpus.jsonl", _jsonl),
+    "ground_truth": Artifact("ground_truth.json", lambda path, truth: corpus.write_json(path, to_row(truth))),
+}
+
+ARTIFACTS: dict[str, str] = {name: art.file for name, art in FORMATS.items()}
+
+# how each artifact a stage reads is parsed
 PARSERS: dict[str, Callable[[Path], object]] = {
-    "records": _rows(corpus.AdRecord),
-    "normalized": _rows(corpus.NormalizedAd),
-    "clusters": _rows(dedup.DuplicateCluster),
-    "identifiers": _identifiers_by_ad,
-    "graph": lambda path: read_graph_json(path),
-    "split": _split_assignment,
-    "htrp_labels": _rows(LabeledAd),
+    name: art.parse for name, art in FORMATS.items() if art.parse is not None
 }
 
 
 class StageContext:
     """Workdir paths plus each input artifact, parsed at most once.
 
-    A stage hands what it wrote to `hand`, and `run_stage` keeps it under
-    the sha256 of the file it wrote; a parse is kept under the sha256
-    that `_check_inputs` computed for the file. Either is served only to
-    a reader whose input hashes the same, so a context shared by the
-    stages of `run_all` parses only artifacts written in another process
-    and never serves an object for bytes other than those the manifests
-    record. A handed object must equal what `PARSERS` makes of its file.
-    Stages must not mutate what `read` returns.
+    A stage writes each output through `write`, which keeps the object it
+    was given under the sha256 of the file written when a later stage
+    reads that artifact; a parse is kept under the sha256 that
+    `_check_inputs` computed for the file. Either is served only to a
+    reader whose input hashes the same, so a context shared by the stages
+    of `run_all` parses only artifacts written in another process and
+    never serves an object for bytes other than those the manifests
+    record: a reader gets the object that the writer encoded. Stages must
+    not mutate what `read` returns or what they have written.
     """
 
     def __init__(self, cfg: PipelineConfig, force: bool = False):
@@ -160,9 +182,9 @@ class StageContext:
         self.force = force
         # the running stage's input hashes, set by run_stage
         self.inputs: dict[str, str] = {}
+        # the running stage's output hashes, set by write
+        self.outputs: dict[str, str] = {}
         self.parsed: dict[tuple[str, str], object] = {}  # (artifact, sha256) -> parse
-        # the running stage's in-memory outputs, set by hand
-        self.handed: dict[str, object] = {}
 
     def path(self, artifact: str) -> Path:
         return self.workdir / ARTIFACTS[artifact]
@@ -184,21 +206,21 @@ class StageContext:
                 raise self.unreadable(artifact, exc) from exc
         return self.parsed[key]
 
+    def write(self, artifact: str, obj) -> None:
+        """Write obj as one of the running stage's outputs, with its
+        artifact's writer; keep it for the readers if the artifact has any."""
+        path = self.path(artifact)
+        FORMATS[artifact].write(path, obj)
+        self.outputs[artifact] = digest = _sha256_file(path)
+        if artifact in PARSERS:
+            self.parsed[(artifact, digest)] = obj
+
     def unreadable(self, artifact: str, reason) -> PipelineError:
         """The error for an input artifact that cannot be used as it is."""
         return PipelineError(
             f"artifact {self.path(artifact).name} cannot be read ({reason}); "
             f"rerun '{PRODUCER[artifact]}' with --force"
         )
-
-    def hand(self, artifact: str, obj) -> None:
-        """Offer later stages `obj`, the parse of the artifact just written."""
-        self.handed[artifact] = obj
-
-    def write_json(self, artifact: str, obj: dict) -> None:
-        with atomic_open(self.path(artifact)) as fh:
-            json.dump(obj, fh, ensure_ascii=False, sort_keys=True, indent=1)
-            fh.write("\n")
 
 
 def _resolve_corpus(cfg: PipelineConfig) -> Path:
@@ -218,7 +240,9 @@ def _resolve_corpus(cfg: PipelineConfig) -> Path:
 
 
 def _run_synth(ctx: StageContext) -> None:
-    synth.generate(ctx.cfg.synth_spec(), ctx.workdir)
+    records, truth = synth.generate_corpus(ctx.cfg.synth_spec())
+    ctx.write("synth_corpus", records)
+    ctx.write("ground_truth", truth)
 
 
 def _run_ingest(ctx: StageContext) -> None:
@@ -238,19 +262,16 @@ def _run_ingest(ctx: StageContext) -> None:
         else:
             normalized.append(corpus.NormalizedAd(r.ad_id, first.norm_text, first.emoji_count))
     del first_by_text  # its keys, the original texts, are held by no later stage
-    corpus.write_jsonl(ctx.path("records"), map(to_row, records))
-    corpus.write_jsonl(ctx.path("rejects"), map(to_row, rejects))
-    corpus.write_jsonl(ctx.path("normalized"), map(to_row, normalized))
-    ctx.hand("records", records)
-    ctx.hand("normalized", normalized)
+    ctx.write("records", records)
+    ctx.write("rejects", rejects)
+    ctx.write("normalized", normalized)
     log.info("ingested %d records, rejected %d", len(records), len(rejects))
 
 
 def _run_dedup(ctx: StageContext) -> None:
     posted = {r.ad_id: r.posted_at for r in ctx.read("records")}
     clusters = dedup.deduplicate(ctx.read("normalized"), ctx.cfg.similarity(), posted)
-    corpus.write_jsonl(ctx.path("clusters"), map(to_row, clusters))
-    ctx.hand("clusters", clusters)
+    ctx.write("clusters", clusters)
     near = sum(1 for c in clusters if c.method == "near")
     log.info("%d clusters (%d near-duplicate)", len(clusters), near)
 
@@ -265,7 +286,7 @@ def _run_extract(ctx: StageContext) -> None:
         for r in records
     ]
     distinct = list(dict.fromkeys(keys))
-    found = dict(zip(distinct, _pmap(_extract_worker, distinct, ctx.cfg.threads)))
+    found = dict(zip(distinct, _pmap(extract.extract_identifiers, distinct, ctx.cfg.threads)))
     ids_by_ad = {r.ad_id: found[key] for r, key in zip(records, keys)}
 
     ann_rejects: list = []
@@ -278,14 +299,9 @@ def _run_extract(ctx: StageContext) -> None:
                 ids_by_ad.get(ad_id, []), idents
             )
 
-    # what _identifiers_by_ad reads back: ads with identifiers, in ad_id order
     found_by_ad = {ad_id: ids_by_ad[ad_id] for ad_id in sorted(ids_by_ad) if ids_by_ad[ad_id]}
-    corpus.write_jsonl(
-        ctx.path("identifiers"),
-        ({"ad_id": ad_id, **to_row(ident)} for ad_id, ids in found_by_ad.items() for ident in ids),
-    )
-    corpus.write_jsonl(ctx.path("annotation_rejects"), map(to_row, ann_rejects))
-    ctx.hand("identifiers", found_by_ad)
+    ctx.write("identifiers", found_by_ad)
+    ctx.write("annotation_rejects", ann_rejects)
     log.info("%d identifiers across %d ads", sum(map(len, found_by_ad.values())), len(found_by_ad))
 
 
@@ -297,8 +313,7 @@ def _run_graph(ctx: StageContext) -> None:
         locations,
         quarantine_cap=ctx.cfg.quarantine_cap,
     )
-    write_graph_json(graph, ctx.path("graph"))
-    ctx.hand("graph", graph)
+    ctx.write("graph", graph)
     log.info(
         "%d nodes, %d edges, %d components",
         len(graph.nodes),
@@ -308,18 +323,16 @@ def _run_graph(ctx: StageContext) -> None:
 
 
 def _run_stats(ctx: StageContext) -> None:
-    stats_to_csv(component_stats(ctx.read("graph")), ctx.path("stats"))
+    ctx.write("stats", component_stats(ctx.read("graph")))
 
 
 def _run_split(ctx: StageContext) -> None:
     graph = ctx.read("graph")
     cfg = ctx.cfg.labeling()
-    # in component order, as _split_assignment reads it back
     assignment = dict(sorted(split_components(graph, cfg).items()))
     report = split_report(graph, assignment, cfg)
-    ctx.write_json("split", {"components": {str(c): s for c, s in assignment.items()}})
-    ctx.write_json("split_report", report)
-    ctx.hand("split", assignment)
+    ctx.write("split", assignment)
+    ctx.write("split_report", report)
     log.info(
         "split: %d train ads, %d test ads, deviation %.4f",
         report["train_ads"],
@@ -335,14 +348,13 @@ def _run_label_oad(ctx: StageContext) -> None:
         raise ctx.unreadable("split", "its components are not the graph's")
     texts = {n.ad_id: n.norm_text for n in ctx.read("normalized") if n.ad_id in graph.component_of}
     pairs = generate_oad_pairs(graph, texts, ctx.cfg.labeling(), split)
-    corpus.write_jsonl(ctx.path("oad_pairs"), map(to_row, pairs))
+    ctx.write("oad_pairs", pairs)
     log.info("%d labeled pairs", len(pairs))
 
 
 def _run_label_htrp(ctx: StageContext) -> None:
     labels = label_htrp(ctx.read("graph"), ctx.cfg.gazetteer(), ctx.cfg.labeling())
-    corpus.write_jsonl(ctx.path("htrp_labels"), map(to_row, labels))
-    ctx.hand("htrp_labels", labels)
+    ctx.write("htrp_labels", labels)
     pos = sum(a.label for a in labels)
     log.info("%d ads labeled, %d positive", len(labels), pos)
 
@@ -368,9 +380,9 @@ def _run_compare(ctx: StageContext) -> None:
     # the variant judges label-htrp's features by other rule thresholds
     baseline = ctx.read("htrp_labels")
     variant = relabel(baseline, ctx.cfg.labeling(variant=True))
-    corpus.write_jsonl(ctx.path("htrp_variant_labels"), map(to_row, variant))
+    ctx.write("htrp_variant_labels", variant)
     report = compare_label_variants(baseline, variant, _strata_map(ctx, ctx.read("graph")))
-    ctx.write_json("compare_report", report)
+    ctx.write("compare_report", report)
 
 
 def _run_export(ctx: StageContext) -> None:
@@ -381,14 +393,8 @@ def _run_export(ctx: StageContext) -> None:
             f"export.component: no component {comp} in graph.json, "
             f"which has {len(graph.components)} components"
         )
-    wanted = _export_outputs(ctx.cfg)
-    for fmt, export in (("graphml", export_graphml), ("dot", export_dot)):
-        if fmt in wanted:
-            export(graph, ctx.path(fmt), component=comp)
-        else:
-            # an earlier run's file in a format no longer asked for would
-            # sit beside a manifest that does not list it
-            ctx.path(fmt).unlink(missing_ok=True)
+    for fmt in _export_outputs(ctx.cfg):
+        ctx.write(fmt, (graph, comp))
 
 
 def _export_outputs(cfg: PipelineConfig) -> tuple[str, ...]:
@@ -630,30 +636,27 @@ def run_stage(
         return {"stage": name, "seconds": time.perf_counter() - start, "ran": False}
 
     ctx.inputs = input_hashes
-    ctx.handed = {}
+    ctx.outputs = {}
     stage.fn(ctx)
 
-    outputs = {}
-    for art in stage.expected_outputs(cfg):
-        p = ctx.path(art)
-        if not p.exists():
-            raise PipelineError(f"stage '{name}' did not write {p.name}")
-        outputs[art] = _sha256_file(p)
-    for art, obj in ctx.handed.items():
-        ctx.parsed[(art, outputs[art])] = obj
-    ctx.handed = {}
+    expected = stage.expected_outputs(cfg)
+    for art in stage.outputs:
+        if art not in expected:
+            # an earlier run's file that this config no longer asks for
+            # would sit beside a manifest that does not list it
+            ctx.path(art).unlink(missing_ok=True)
+        elif art not in ctx.outputs:
+            raise PipelineError(f"stage '{name}' did not write {ctx.path(art).name}")
     manifest = {
         "stage": name,
         "version": __version__,
         "config_hash": stage.config_hash(cfg),
         "inputs": input_hashes,
-        "outputs": outputs,
+        "outputs": {art: ctx.outputs[art] for art in expected},
     }
     # written last: a run that fails before here leaves the previous manifest,
     # which no longer matches any output the run replaced, so the stage reruns
-    with atomic_open(manifest_path(ctx.workdir, name)) as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    corpus.write_json(manifest_path(ctx.workdir, name), manifest)
 
     elapsed = time.perf_counter() - start
     log.info("[%s] finished in %.2fs", name, elapsed)

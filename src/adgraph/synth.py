@@ -9,14 +9,12 @@ near duplicates never touch identifier or location spans.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
 from typing import Iterable
 
-from .corpus import AdRecord, atomic_open, to_row, write_jsonl
+from .corpus import AdRecord
 from .errors import ConfigError
 from .geo import Gazetteer, haversine_miles
 
@@ -464,18 +462,3 @@ def generate_corpus(spec: SynthSpec) -> tuple[list[AdRecord], GroundTruth]:
 
     rng.shuffle(records)
     return records, truth
-
-
-def generate(spec: SynthSpec, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write corpus.jsonl and ground_truth.json under out_dir."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records, truth = generate_corpus(spec)
-    corpus_path = out_dir / "corpus.jsonl"
-    truth_path = out_dir / "ground_truth.json"
-    write_jsonl(corpus_path, map(to_row, records))
-    with atomic_open(truth_path) as fh:
-        json.dump(to_row(truth), fh, ensure_ascii=False, sort_keys=True, indent=1)
-        fh.write("\n")
-    return corpus_path, truth_path
-

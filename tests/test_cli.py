@@ -129,6 +129,32 @@ class TestErrors:
         assert f"rerun '{PRODUCER[artifact]}' with --force" in error
 
     @pytest.mark.parametrize(
+        "artifact, field, value",
+        [
+            ("htrp_labels", "features.max_span_miles", "x"),
+            ("htrp_labels", "label", True),
+            ("clusters", "member_ids", "a000001"),
+            ("records", "posted_at", "yesterday"),
+        ],
+    )
+    def test_wrong_value_type_is_one_error_line(self, finished_workdir, caplog, artifact, field, value):
+        path = finished_workdir / ARTIFACTS[artifact]
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        *parents, name = field.split(".")
+        target = rows[0]
+        for key in parents:
+            target = target[key]
+        target[name] = value
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        reader = next(s for s in ALL_CHAIN if artifact in STAGES[s].inputs)
+        caplog.clear()
+        assert run([reader, "--workdir", str(finished_workdir), "--force"]) == 1
+        [error] = self.error_lines(caplog)
+        assert "\n" not in error
+        assert f"artifact {path.name} cannot be read" in error
+        assert f"rerun '{PRODUCER[artifact]}' with --force" in error
+
+    @pytest.mark.parametrize(
         "flag, content",
         [
             ("--config", None),

@@ -305,6 +305,39 @@ class TestRowCodec:
         with pytest.raises(PipelineError, match="NormalizedAd row has keys"):
             corpus.from_row(corpus.NormalizedAd, row)
 
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("cluster", "member_ids", "a"),
+            ("cluster", "member_ids", ["a", 1]),
+            ("normalized", "emoji_count", True),
+            ("normalized", "emoji_count", 1.0),
+            ("labeled_ad", "features", 5),
+            ("identifier", "start", "2"),
+            ("record", "declared_phone", 5),
+            ("record", "posted_at", 5),
+        ],
+    )
+    def test_a_value_of_the_wrong_type_is_a_pipeline_error(self, name, field, value):
+        row = json.loads(json.dumps(corpus.to_row(ROW_CASES[name])))
+        row[field] = value
+        with pytest.raises(PipelineError, match=f"row has {field} of a type other than"):
+            corpus.from_row(type(ROW_CASES[name]), row)
+
+    def test_an_int_stands_for_a_float_and_a_bool_for_neither(self):
+        row = corpus.to_row(ROW_CASES["labeled_ad"])
+        row["features"]["max_span_miles"] = 10
+        assert corpus.from_row(LabeledAd, row) == ROW_CASES["labeled_ad"]
+        row["features"]["max_span_miles"] = True
+        with pytest.raises(PipelineError, match="HtrpFeatures row has max_span_miles"):
+            corpus.from_row(LabeledAd, row)
+
+    def test_a_timestamp_that_does_not_parse_is_a_pipeline_error(self):
+        row = corpus.to_row(ROW_CASES["record"])
+        row["posted_at"] = "yesterday"
+        with pytest.raises(PipelineError, match="AdRecord row has a timestamp that is not one"):
+            corpus.from_row(corpus.AdRecord, row)
+
     def test_write_jsonl_matches_json_dumps_across_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(corpus, "_WRITE_CHUNK_ROWS", 3)
         rows = [{"b": i, "a": "é\U0001F339\n", "c": [-0.0, None]} for i in range(7)]

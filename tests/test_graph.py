@@ -139,7 +139,6 @@ class TestStats:
         stats = g.component_stats(built)
         assert stats.buckets == {"1": 2, "2-10": 1, "10-100": 1, "100-1000": 0, "1000+": 0}
         assert stats.total_components == 4
-        assert stats.largest_size == 12
 
     def test_csv_layout(self, tmp_path):
         built = g.RelatednessGraph(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import adgraph
-from adgraph import cli, corpus, extract, pipeline
+from adgraph import cli, corpus, extract, pipeline, synth
 from adgraph.config import DEFAULTS, config_hash, load_config
 from adgraph.corpus import CSV_COLUMNS, build_original_text, read_jsonl, to_row
 from adgraph.errors import PipelineError
@@ -472,46 +473,53 @@ HANDOFF_SHAPES = {
 
 
 class TestHandOff:
-    @staticmethod
-    def handed_during(cfg, monkeypatch) -> list[tuple[str, object]]:
-        """run_all on cfg; every (artifact, object) a stage handed over."""
-        handed = []
-        hand = pipeline.StageContext.hand
+    @pytest.fixture()
+    def written(self, monkeypatch) -> list[tuple[str, object]]:
+        """Every (artifact, object) a stage writes through StageContext.write."""
+        log = []
+        write = pipeline.StageContext.write
 
         def recording(ctx, artifact, obj):
-            handed.append((artifact, obj))
-            hand(ctx, artifact, obj)
+            log.append((artifact, obj))
+            write(ctx, artifact, obj)
 
-        with monkeypatch.context() as m:
-            m.setattr(pipeline.StageContext, "hand", recording)
-            run_all(cfg)
-        return handed
+        monkeypatch.setattr(pipeline.StageContext, "write", recording)
+        return log
 
     @pytest.mark.parametrize("shape", sorted(HANDOFF_SHAPES))
-    def test_every_handed_object_equals_the_parse_of_its_file(self, shape, tmp_path, monkeypatch):
+    def test_every_handed_object_equals_the_parse_of_its_file(self, shape, tmp_path, written):
         synth, relabel = HANDOFF_SHAPES[shape]
         cfg = make_cfg(tmp_path / "w", synth)
         run_stage("synth", cfg)
-        handed = self.handed_during(cfg, monkeypatch)
+        run_all(cfg)
+        kept = sorted(art for art, _ in written if art in pipeline.PARSERS)
+        assert kept == ["clusters", "graph", "htrp_labels", "identifiers", "normalized", "records", "split"]
         if relabel is not None:
             cfg = make_cfg(tmp_path / "w", synth + relabel)
-            handed = self.handed_during(cfg, monkeypatch)
-            assert [art for art, _ in handed] == ["htrp_labels"]
-        else:
-            assert sorted(art for art, _ in handed) == [
-                "clusters", "graph", "htrp_labels", "identifiers", "normalized", "records", "split",
-            ]
-        for art, obj in handed:
-            assert repr(obj) == repr(pipeline.PARSERS[art](cfg.workdir / ARTIFACTS[art])), art
+            rerun = len(written)
+            run_all(cfg)
+            assert [art for art, _ in written[rerun:]] == ["htrp_labels", "htrp_variant_labels", "compare_report"]
+        # no stage writes around the table
+        files = {
+            p.relative_to(cfg.workdir).as_posix()
+            for p in cfg.workdir.rglob("*")
+            if p.is_file() and p.parent.name != "manifests"
+        }
+        assert files == {ARTIFACTS[art] for art, _ in written}
+        # the last object written as each artifact stands for its file
+        for art, obj in dict(written).items():
+            if art in pipeline.PARSERS:
+                assert repr(obj) == repr(pipeline.PARSERS[art](cfg.workdir / ARTIFACTS[art])), art
 
-    def test_quarantined_graph_equals_the_parse_of_its_file(self, tmp_path, monkeypatch):
+    def test_quarantined_graph_equals_the_parse_of_its_file(self, tmp_path, written):
         cfg = make_cfg(tmp_path / "w", ["graph.quarantine_cap=2"])
         run_stage("synth", cfg)
-        graph = dict(self.handed_during(cfg, monkeypatch))["graph"]
+        run_all(cfg)
+        graph = dict(written)["graph"]
         assert graph.quarantined
         assert repr(graph) == repr(pipeline.PARSERS["graph"](cfg.workdir / ARTIFACTS["graph"]))
 
-    def test_annotated_identifiers_equal_the_parse_of_their_file(self, tmp_path, monkeypatch):
+    def test_annotated_identifiers_equal_the_parse_of_their_file(self, tmp_path, written):
         ads = [
             corpus_row("a1", "call 212 555 0100 now"),
             corpus_row("a2", "nothing to see"),
@@ -528,13 +536,13 @@ class TestHandOff:
         cfg = make_cfg(
             tmp_path / "w", [f"corpus.path={corpus_path}", f"corpus.annotations={notes}"]
         )
-        handed = dict(self.handed_during(cfg, monkeypatch))
+        run_all(cfg)
         parsed = pipeline.PARSERS["identifiers"](cfg.workdir / ARTIFACTS["identifiers"])
         assert set(parsed) == {"a1"}
         assert len(read_jsonl(cfg.workdir / ARTIFACTS["annotation_rejects"])) == 1
-        assert repr(handed["identifiers"]) == repr(parsed)
+        assert repr(dict(written)["identifiers"]) == repr(parsed)
 
-    def test_ingest_normalizes_each_distinct_text_once(self, tmp_path, monkeypatch):
+    def test_ingest_normalizes_each_distinct_text_once(self, tmp_path, written):
         ads = [
             corpus_row("a1", "Call 555 123 0147 \U0001F352"),
             corpus_row("a2", "Call 555 123 0147 \U0001F352", declared_phone="5551230147"),
@@ -546,14 +554,23 @@ class TestHandOff:
             corpus_row("a7", "Only", title="Title"),
         ]
         cfg = make_cfg(tmp_path / "w", [f"corpus.path={write_corpus(tmp_path / 'c.jsonl', ads)}"])
-        handed = {}
-        monkeypatch.setattr(pipeline.StageContext, "hand", lambda ctx, art, obj: handed.setdefault(art, obj))
         run_stage("ingest", cfg)
+        handed = dict(written)
         normalized = handed["normalized"]
         assert [vars(n) for n in normalized] == [vars(corpus.normalize(r)) for r in handed["records"]]
         reposts = [normalized[i].norm_text for i in (0, 1, 4)]
         assert reposts[0] is reposts[1] is reposts[2]
         assert normalized[3].norm_text == normalized[5].norm_text
+
+    def test_a_stage_that_writes_around_the_table_fails(self, tmp_path, monkeypatch):
+        def around(ctx):
+            records, truth = synth.generate_corpus(ctx.cfg.synth_spec())
+            corpus.write_jsonl(ctx.path("synth_corpus"), map(to_row, records))
+            ctx.write("ground_truth", truth)
+
+        monkeypatch.setitem(pipeline.STAGES, "synth", dataclasses.replace(pipeline.STAGES["synth"], fn=around))
+        with pytest.raises(PipelineError, match="stage 'synth' did not write corpus.jsonl"):
+            run_stage("synth", make_cfg(tmp_path / "w"))
 
     def test_a_handed_object_is_served_only_for_the_bytes_it_was_written_as(self, tmp_path):
         cfg = make_cfg(tmp_path / "w")

@@ -3,18 +3,27 @@ import json
 import pytest
 
 from adgraph import corpus
+from adgraph.config import load_config
 from adgraph.corpus import ingest, normalize
 from adgraph.dedup import SimilarityConfig, deduplicate, similarities
 from adgraph.errors import ConfigError
 from adgraph.geo import Gazetteer
 from adgraph.graph import build_graph
 from adgraph.label import LabelingConfig, label_htrp
-from adgraph.synth import GroundTruth, SynthSpec, generate, generate_corpus
+from adgraph.pipeline import ARTIFACTS, run_stage
+from adgraph.synth import GroundTruth, SynthSpec, generate_corpus
 
 from conftest import record_identifiers
 
 
 SPEC = SynthSpec(n_ads=120, n_components=15, dup_rate=0.5, obfuscation_rate=0.7, seed=3)
+
+
+def generate(spec: SynthSpec, workdir):
+    """The synth stage on spec's settings; the corpus and truth files it wrote."""
+    settings = {f"synth.{k}": v for k, v in vars(spec).items() if k != "seed"}
+    run_stage("synth", load_config(cli_values={"workdir": str(workdir), "seed": spec.seed, **settings}))
+    return workdir / ARTIFACTS["synth_corpus"], workdir / ARTIFACTS["ground_truth"]
 
 
 @pytest.fixture(scope="module")
