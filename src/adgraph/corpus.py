@@ -1,9 +1,11 @@
-"""Corpus ingestion and text normalization.
+"""Corpus ingestion, text normalization, and the row codec.
 
 Records arrive as JSONL or CSV, are validated row by row, and normalized
 into the text form every downstream stage works on. Invalid rows are
 collected as rejects with a line number and reason, never silently
-dropped.
+dropped. to_row and from_row write and read every artifact dataclass; a
+value that does not fit its field's type hint, at any depth, raises
+PipelineError.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ import os
 import re
 import unicodedata
 from contextlib import contextmanager
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
-from itertools import islice
+from functools import lru_cache, partial
+from itertools import chain, islice
 from pathlib import Path
 from types import UnionType
-from typing import IO, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
+from typing import IO, Callable, Iterable, Iterator, Literal, get_args, get_origin, get_type_hints
 
 from .emoji import count_emoji
 from .errors import EmptyCorpusError, IngestError, PipelineError
@@ -269,83 +271,140 @@ def _json_types(hint) -> frozenset[type]:
         return frozenset((dict,))
     if isinstance(hint, UnionType):
         return frozenset().union(*map(_json_types, get_args(hint)))
+    if get_origin(hint) is Literal:
+        return frozenset(map(type, get_args(hint)))
     return frozenset((get_origin(hint) or hint,))
 
 
-def _item_types(hint) -> frozenset[type] | None:
-    """The JSON types of a list field's items or a dict field's values (a
-    JSON object's keys are always strings); None for any other field."""
-    if get_origin(hint) in (list, dict):
-        return _json_types(get_args(hint)[-1])
-    return None
+# a dict[int, X] key: only an int's own text, so that it is written back as read
+_INT_TEXT = re.compile("0|-?[1-9][0-9]*")
+
+
+class _Mismatch(Exception):
+    """A value, or an item inside it, that its type hint does not take."""
+
+
+def _require(fits: bool) -> None:
+    if not fits:
+        raise _Mismatch
+
+
+def _int_key(key: str) -> int:
+    _require(_INT_TEXT.fullmatch(key) is not None)
+    return int(key)
 
 
 @lru_cache(maxsize=None)
-def _special_fields(cls: type):
-    """cls's datetime fields, its nested-dataclass fields with their types,
-    and each field's name, JSON types, item types and type name."""
+def _checker(hint) -> Callable[[list], None] | None:
+    """The function that checks a list of JSON values of hint's _json_types
+    for what their types do not show: a Literal's members and each item as
+    deep as hint goes (a dataclass is left to from_row). It raises
+    _Mismatch; None where there is nothing to check."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        return lambda values, allowed=frozenset(args): _require(set(values) <= allowed)
+    if origin not in (list, dict):
+        return None
+    types, check = _json_types(args[-1]), _checker(args[-1])
+
+    def check_items(values: list) -> None:
+        # the items of every value at once, a level at a time
+        if origin is dict:
+            values = [list(value.values()) for value in values]
+        items = values[0] if len(values) == 1 else list(chain.from_iterable(values))
+        if not set(map(type, items)) <= types:
+            raise _Mismatch
+        if check is not None:
+            check(items)
+
+    return check_items
+
+
+@lru_cache(maxsize=None)
+def _converter(hint, decoding: bool) -> Callable | None:
+    """The function from a value of a field typed hint to its JSON-ready
+    form, or when decoding from a checked JSON value back to the field's
+    value; None where either is the value itself. As deep as hint goes,
+    a datetime is ISO-8601 text, a dataclass a row, and an int key its
+    text; decoded dict[int, X] keys come back in numeric order."""
+    if hint is datetime:
+        return parse_timestamp if decoding else datetime.isoformat
+    if is_dataclass(hint):
+        return partial(from_row, hint) if decoding else to_row
+    origin, args = get_origin(hint), get_args(hint)
+    if origin not in (list, dict):
+        return None
+    convert = _converter(args[-1], decoding)
+    if origin is dict and args[0] is int:
+        key = _int_key if decoding else str
+        return lambda value: dict(sorted((key(k), x if convert is None else convert(x)) for k, x in value.items()))
+    if convert is None:
+        return None
+    if origin is list:
+        return lambda value: list(map(convert, value))
+    return lambda value: {k: convert(x) for k, x in value.items()}
+
+
+@lru_cache(maxsize=None)
+def _schema(cls: type):
+    """Each field a cls row stores (not one declared init=False) with its
+    JSON types, checker, decoder and type name; each that needs an encoder,
+    with it; their names, or None if an object's __dict__ holds just them;
+    and whether any needs a decoder."""
     hints = get_type_hints(cls)
-    stamps = tuple(name for name, hint in hints.items() if hint is datetime)
-    nested = tuple((name, hint) for name, hint in hints.items() if is_dataclass(hint))
+    stored = [f.name for f in fields(cls) if f.init]
     checks = tuple(
-        (name, _json_types(hint), _item_types(hint), str(hint) if get_origin(hint) else hint.__name__)
-        for name, hint in hints.items()
+        (name, _json_types(h), _checker(h), _converter(h, True), str(h) if get_origin(h) else h.__name__)
+        for name in stored
+        for h in (hints[name],)
     )
-    return stamps, nested, checks
+    encoders = tuple((name, encode) for name in stored if (encode := _converter(hints[name], False)))
+    plain = not hasattr(cls, "__slots__") and all(f.init for f in fields(cls))
+    return checks, encoders, None if plain else tuple(stored), any(check[3] for check in checks)
 
 
 def to_row(obj) -> dict:
-    """One artifact dataclass as a JSON-ready dict keyed by its field names.
+    """One artifact dataclass as a JSON-ready dict keyed by its stored fields.
 
-    datetimes become ISO-8601 text and nested dataclasses nested dicts;
-    every other field is written as it is.
+    As deep as the type hints go, datetimes become ISO-8601 text, nested
+    dataclasses nested dicts and int keys their text; every other value
+    is written as it is.
     """
-    row = dict(vars(obj))
-    stamps, nested, _ = _special_fields(type(obj))
-    for name in stamps:
-        row[name] = row[name].isoformat()
-    for name, _ in nested:
-        row[name] = to_row(row[name])
+    _, encoders, named, _ = _schema(type(obj))
+    row = dict(vars(obj)) if named is None else {name: getattr(obj, name) for name in named}
+    for name, encode in encoders:
+        row[name] = encode(row[name])
     return row
 
 
 def from_row(cls: type, row: dict):
     """Inverse of to_row: rebuild a cls from its row.
 
-    A row whose keys are not cls's fields (an artifact written in an
-    older format, or edited), or a value that does not fit its field's
-    type, raises PipelineError.
+    A row whose keys are not cls's stored fields (an artifact written in
+    an older format, or edited), or a value that does not fit its field's
+    type hint at any depth, raises PipelineError.
     """
-    stamps, nested, checks = _special_fields(cls)
-    for name, types, item_types, type_name in checks:
+    checks, _, _, decodes = _schema(cls)
+    decoded = dict(row) if decodes else row
+    for name, types, check, decode, type_name in checks:
         if name not in row:
             continue
         value = row[name]
-        # container items are checked one level deep
-        if type(value) not in types or (
-            item_types is not None
-            and not set(map(type, value.values() if type(value) is dict else value)) <= item_types
-        ):
-            raise PipelineError(f"{cls.__name__} row has {name} of a type other than {type_name}")
-    if stamps or nested:
-        row = dict(row)
         try:
-            for name in stamps:
-                row[name] = parse_timestamp(row[name])
-            for name, hint in nested:
-                row[name] = from_row(hint, row[name])
-        except KeyError as exc:
-            raise _wrong_keys(cls, row) from exc
+            if type(value) not in types:
+                raise _Mismatch
+            if check is not None:
+                check([value])
+            if decode is not None:
+                decoded[name] = decode(value)
+        except _Mismatch:
+            raise PipelineError(f"{cls.__name__} row has {name} of a type other than {type_name}") from None
         except ValueError as exc:
             raise PipelineError(f"{cls.__name__} row has a timestamp that is not one ({exc})") from exc
     try:
-        return cls(**row)
+        return cls(**decoded)
     except TypeError as exc:
-        raise _wrong_keys(cls, row) from exc
-
-
-def _wrong_keys(cls: type, row: dict) -> PipelineError:
-    return PipelineError(f"{cls.__name__} row has keys {sorted(row)}, an older or edited format")
+        raise PipelineError(f"{cls.__name__} row has keys {sorted(row)}, an older or edited format") from exc
 
 
 @contextmanager
@@ -433,3 +492,15 @@ def read_jsonl(path: str | Path) -> list[dict]:
                     raise PipelineError(f"line {lineno} is not a json object")
                 out.append(obj)
     return out
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object a file holds; PipelineError if it holds no JSON or another value."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise PipelineError(f"not valid json: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise PipelineError("not a json object")
+    return obj

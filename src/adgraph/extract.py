@@ -78,10 +78,24 @@ def _platform(word: str) -> str:
     return _PLATFORMS[_fold(word)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Identifier:
     """One extracted identifier; start/end index the original text when known."""
 
+    kind: str
+    raw: str
+    canonical: str
+    start: int | None = None
+    end: int | None = None
+
+
+@dataclass(slots=True)
+class AdIdentifier:
+    """A row of identifiers.jsonl: an Identifier's fields plus its ad's id.
+    A chain builds one per ad and identifier, so it has slots and is not
+    frozen (a frozen __init__ costs about four times as much)."""
+
+    ad_id: str
     kind: str
     raw: str
     canonical: str

@@ -9,21 +9,17 @@ back it.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Literal, Mapping
 
-from .corpus import atomic_open, from_row, to_row, write_json
+from .corpus import atomic_open
 from .dedup import DuplicateCluster
-from .errors import PipelineError
-from .extract import Identifier
+from .extract import AdIdentifier, Identifier
 from .unionfind import UnionFind
 
 log = logging.getLogger(__name__)
-
-MATERIALIZATION = "star"
 
 
 @dataclass
@@ -39,17 +35,18 @@ class GraphEdge:
 class RelatednessGraph:
     nodes: list[str]
     edges: list[GraphEdge]
-    component_of: dict[str, int]
-    components: dict[int, list[str]]
+    components: dict[int, list[str]]  # in id order
     # per canonical node: all "kind:canonical" identifier keys, and raw
     # location strings, unioned over the duplicate cluster's members
     node_identifiers: dict[str, list[str]] = field(default_factory=dict)
     node_locations: dict[str, list[str]] = field(default_factory=dict)
     quarantined: list[dict] = field(default_factory=list)
+    materialization: Literal["star"] = "star"
+    # derived from components, so graph.json does not store it
+    component_of: dict[str, int] = field(init=False)
 
-    @property
-    def materialization(self) -> str:
-        return MATERIALIZATION
+    def __post_init__(self) -> None:
+        self.component_of = {node: idx for idx, members in self.components.items() for node in members}
 
 
 @dataclass
@@ -84,7 +81,7 @@ def _identifier_key(ident: Identifier) -> str:
 
 def build_graph(
     clusters: Iterable[DuplicateCluster],
-    identifiers_by_ad: Mapping[str, Iterable[Identifier]],
+    identifiers_by_ad: Mapping[str, Iterable[Identifier | AdIdentifier]],
     locations_by_ad: Mapping[str, Iterable[str]] | None = None,
     quarantine_cap: int | None = None,
 ) -> RelatednessGraph:
@@ -141,19 +138,11 @@ def build_graph(
         for (a, b), shared in sorted(edge_shared.items())
     ]
 
-    components: dict[int, list[str]] = {}
-    component_of: dict[str, int] = {}
     groups = sorted(uf.groups().values(), key=lambda members: members[0])
-    for idx, members in enumerate(groups):
-        components[idx] = members
-        for node in members:
-            component_of[node] = idx
-
     return RelatednessGraph(
         nodes=nodes,
         edges=edges,
-        component_of=component_of,
-        components=components,
+        components=dict(enumerate(groups)),
         node_identifiers={n: sorted(ids_of_node[n]) for n in nodes},
         node_locations={n: sorted(locs_of_node[n]) for n in nodes},
         quarantined=quarantined,
@@ -173,48 +162,6 @@ def stats_to_csv(stats: ComponentStats, path: str | Path) -> None:
     lines.append(f"total,{stats.total_components}")
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def graph_to_dict(graph: RelatednessGraph) -> dict:
-    return {
-        "materialization": graph.materialization,
-        "nodes": list(graph.nodes),
-        "edges": [to_row(e) for e in graph.edges],
-        "components": {str(k): list(v) for k, v in sorted(graph.components.items())},
-        "node_identifiers": {n: list(graph.node_identifiers.get(n, [])) for n in graph.nodes},
-        "node_locations": {n: list(graph.node_locations.get(n, [])) for n in graph.nodes},
-        "quarantined": list(graph.quarantined),
-    }
-
-
-def graph_from_dict(obj: dict) -> RelatednessGraph:
-    """The graph graph_to_dict made, its components in id order as built."""
-    components = dict(sorted({int(k): list(v) for k, v in obj["components"].items()}.items()))
-    component_of = {node: idx for idx, members in components.items() for node in members}
-    return RelatednessGraph(
-        nodes=list(obj["nodes"]),
-        edges=[from_row(GraphEdge, e) for e in obj["edges"]],
-        component_of=component_of,
-        components=components,
-        node_identifiers={k: list(v) for k, v in obj.get("node_identifiers", {}).items()},
-        node_locations={k: list(v) for k, v in obj.get("node_locations", {}).items()},
-        quarantined=list(obj.get("quarantined", [])),
-    )
-
-
-def write_graph_json(graph: RelatednessGraph, path: str | Path) -> None:
-    write_json(path, graph_to_dict(graph))
-
-
-def read_graph_json(path: str | Path) -> RelatednessGraph:
-    """The graph write_graph_json wrote; PipelineError if it is not one."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return graph_from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise PipelineError(f"not valid json: {exc}") from exc
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            raise PipelineError(f"not a graph: {exc!r}") from exc
 
 
 def _subgraph_view(graph: RelatednessGraph, component: int | None):

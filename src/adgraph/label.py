@@ -15,7 +15,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Literal, Mapping, Sequence
 
 from .dedup import similarities
 from .errors import ConfigError, LabelingError
@@ -84,6 +84,13 @@ class LabeledAd:
     label: int
     features: HtrpFeatures
     rule_trace: list[str]
+
+
+@dataclass
+class Split:
+    """Each component's side of the train/test split, in component order."""
+
+    components: dict[int, Literal["train", "test"]]
 
 
 def split_components(graph: RelatednessGraph, cfg: LabelingConfig) -> dict[int, str]:

@@ -10,15 +10,17 @@ stages that read it and those whose inputs then change. A stage refuses
 to run when an input artifact no longer matches the manifest of the
 stage that produced it, unless forced. Artifacts and manifests are
 written atomically, each manifest after its stage's outputs. An
-artifact's file name, writer and parser are one entry in FORMATS, and a
-reader in the same context gets the object that the writer encoded.
+artifact's file name, writer and parser are one entry in FORMATS. Every
+artifact and manifest is a dataclass written by corpus.to_row and parsed
+by corpus.from_row, which checks each value against its field's type
+hint to any depth; a reader in the same context gets the object that the
+writer encoded.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import json
 import logging
 import time
 from contextlib import contextmanager
@@ -31,25 +33,8 @@ from .analysis import compare_label_variants
 from .config import PipelineConfig, config_hash
 from .corpus import from_row, to_row
 from .errors import ConfigError, PipelineError
-from .extract import Identifier
-from .graph import (
-    RelatednessGraph,
-    build_graph,
-    component_stats,
-    export_dot,
-    export_graphml,
-    read_graph_json,
-    stats_to_csv,
-    write_graph_json,
-)
-from .label import (
-    LabeledAd,
-    generate_oad_pairs,
-    label_htrp,
-    relabel,
-    split_components,
-    split_report,
-)
+from .graph import RelatednessGraph, build_graph, component_stats, export_dot, export_graphml, stats_to_csv
+from .label import LabeledAd, Split, generate_oad_pairs, label_htrp, relabel, split_components, split_report
 
 log = logging.getLogger("adgraph")
 
@@ -83,39 +68,12 @@ def _rows(cls: type) -> Callable[[Path], list]:
     return lambda path: [from_row(cls, row) for row in corpus.read_jsonl(path)]
 
 
-def _write_identifiers(path: Path, by_ad: dict[str, list[Identifier]]) -> None:
-    corpus.write_jsonl(path, ({"ad_id": ad_id, **to_row(i)} for ad_id, ids in by_ad.items() for i in ids))
+def _json(path: Path, obj) -> None:
+    corpus.write_json(path, to_row(obj))
 
 
-def _identifiers_by_ad(path: Path) -> dict[str, list[Identifier]]:
-    out: dict[str, list[Identifier]] = {}
-    for lineno, row in enumerate(corpus.read_jsonl(path), start=1):
-        if "ad_id" not in row:
-            raise PipelineError(f"row {lineno} has no ad_id")
-        ad_id = row.pop("ad_id")
-        out.setdefault(ad_id, []).append(from_row(Identifier, row))
-    return out
-
-
-def _write_split(path: Path, assignment: dict[int, str]) -> None:
-    corpus.write_json(path, {"components": {str(c): s for c, s in assignment.items()}})
-
-
-def _split_assignment(path: Path) -> dict[int, str]:
-    """The assignment _write_split wrote, in component order; PipelineError
-    if it is not one."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise PipelineError(f"not valid json: {exc}") from exc
-    try:
-        assignment = dict(sorted({int(cid): side for cid, side in data["components"].items()}.items()))
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise PipelineError(f"not a split: {exc!r}") from exc
-    for side in assignment.values():
-        if side not in ("train", "test"):
-            raise PipelineError(f"not a split: side {side!r}")
-    return assignment
+def _document(cls: type) -> Callable[[Path], object]:
+    return lambda path: from_row(cls, corpus.read_json(path))
 
 
 @dataclass(frozen=True)
@@ -136,12 +94,11 @@ FORMATS: dict[str, Artifact] = {
     "rejects": Artifact("rejects.jsonl", _jsonl),
     "clusters": Artifact("clusters.jsonl", _jsonl, _rows(dedup.DuplicateCluster)),
     # only ads with identifiers, in ad_id order
-    "identifiers": Artifact("identifiers.jsonl", _write_identifiers, _identifiers_by_ad),
+    "identifiers": Artifact("identifiers.jsonl", _jsonl, _rows(extract.AdIdentifier)),
     "annotation_rejects": Artifact("annotation_rejects.jsonl", _jsonl),
-    "graph": Artifact("graph.json", lambda path, g: write_graph_json(g, path), lambda path: read_graph_json(path)),
+    "graph": Artifact("graph.json", _json, _document(RelatednessGraph)),
     "stats": Artifact("component_stats.csv", lambda path, stats: stats_to_csv(stats, path)),
-    # in component order
-    "split": Artifact("split.json", _write_split, _split_assignment),
+    "split": Artifact("split.json", _json, _document(Split)),
     "split_report": Artifact("split_report.json", corpus.write_json),
     "oad_pairs": Artifact("oad_pairs.jsonl", _jsonl),
     "htrp_labels": Artifact("htrp_labels.jsonl", _jsonl, _rows(LabeledAd)),
@@ -151,7 +108,7 @@ FORMATS: dict[str, Artifact] = {
     "graphml": Artifact("graph.graphml", lambda path, view: export_graphml(view[0], path, component=view[1])),
     "dot": Artifact("graph.dot", lambda path, view: export_dot(view[0], path, component=view[1])),
     "synth_corpus": Artifact("corpus.jsonl", _jsonl),
-    "ground_truth": Artifact("ground_truth.json", lambda path, truth: corpus.write_json(path, to_row(truth))),
+    "ground_truth": Artifact("ground_truth.json", _json),
 }
 
 ARTIFACTS: dict[str, str] = {name: art.file for name, art in FORMATS.items()}
@@ -185,6 +142,17 @@ class StageContext:
         # the running stage's output hashes, set by write
         self.outputs: dict[str, str] = {}
         self.parsed: dict[tuple[str, str], object] = {}  # (artifact, sha256) -> parse
+        # (path, inode, size, mtime) -> sha256 of each file hashed or written
+        self.digests: dict[tuple[Path, int, int, int], str] = {}
+
+    def digest(self, path: Path) -> str:
+        """The file's sha256, hashed again only when its inode, size or
+        modification time differs from when it was last hashed here."""
+        st = path.stat()
+        key = (path, st.st_ino, st.st_size, st.st_mtime_ns)
+        if key not in self.digests:
+            self.digests[key] = _sha256_file(path)
+        return self.digests[key]
 
     def path(self, artifact: str) -> Path:
         return self.workdir / ARTIFACTS[artifact]
@@ -211,7 +179,7 @@ class StageContext:
         artifact's writer; keep it for the readers if the artifact has any."""
         path = self.path(artifact)
         FORMATS[artifact].write(path, obj)
-        self.outputs[artifact] = digest = _sha256_file(path)
+        self.outputs[artifact] = digest = self.digest(path)
         if artifact in PARSERS:
             self.parsed[(artifact, digest)] = obj
 
@@ -299,17 +267,22 @@ def _run_extract(ctx: StageContext) -> None:
                 ids_by_ad.get(ad_id, []), idents
             )
 
-    found_by_ad = {ad_id: ids_by_ad[ad_id] for ad_id in sorted(ids_by_ad) if ids_by_ad[ad_id]}
-    ctx.write("identifiers", found_by_ad)
+    del keys, distinct, found, norm_text  # so that the rows can take the texts' memory
+    rows = [extract.AdIdentifier(ad_id, i.kind, i.raw, i.canonical, i.start, i.end)
+            for ad_id in sorted(ids_by_ad) for i in ids_by_ad[ad_id]]
+    ctx.write("identifiers", rows)
     ctx.write("annotation_rejects", ann_rejects)
-    log.info("%d identifiers across %d ads", sum(map(len, found_by_ad.values())), len(found_by_ad))
+    log.info("%d identifiers across %d ads", len(rows), sum(1 for ids in ids_by_ad.values() if ids))
 
 
 def _run_graph(ctx: StageContext) -> None:
     locations = {r.ad_id: r.locations for r in ctx.read("records")}
+    identifiers: dict[str, list[extract.AdIdentifier]] = {}
+    for found in ctx.read("identifiers"):
+        identifiers.setdefault(found.ad_id, []).append(found)
     graph = build_graph(
         ctx.read("clusters"),
-        ctx.read("identifiers"),
+        identifiers,
         locations,
         quarantine_cap=ctx.cfg.quarantine_cap,
     )
@@ -331,7 +304,7 @@ def _run_split(ctx: StageContext) -> None:
     cfg = ctx.cfg.labeling()
     assignment = dict(sorted(split_components(graph, cfg).items()))
     report = split_report(graph, assignment, cfg)
-    ctx.write("split", assignment)
+    ctx.write("split", Split(assignment))
     ctx.write("split_report", report)
     log.info(
         "split: %d train ads, %d test ads, deviation %.4f",
@@ -343,7 +316,7 @@ def _run_split(ctx: StageContext) -> None:
 
 def _run_label_oad(ctx: StageContext) -> None:
     graph = ctx.read("graph")
-    split = ctx.read("split")
+    split = ctx.read("split").components
     if split.keys() != graph.components.keys():
         raise ctx.unreadable("split", "its components are not the graph's")
     texts = {n.ad_id: n.norm_text for n in ctx.read("normalized") if n.ad_id in graph.component_of}
@@ -503,33 +476,31 @@ PRODUCER: dict[str, str] = {
     art: s.name for s in STAGES.values() for art in s.outputs
 }
 
-ALL_CHAIN = (
-    "ingest",
-    "dedup",
-    "extract",
-    "graph",
-    "stats",
-    "split",
-    "label-oad",
-    "label-htrp",
-    "compare",
-    "export",
-)
+# every stage but synth, in STAGES order
+ALL_CHAIN = tuple(name for name in STAGES if name != "synth")
 
 
 def manifest_path(workdir: Path, stage: str) -> Path:
     return workdir / "manifests" / f"{stage}.json"
 
 
-def _read_manifest(path: Path) -> dict | None:
-    """The manifest at path; None if it is missing or not a manifest's shape."""
+@dataclass
+class Manifest:
+    """What one run of a stage read and wrote, each file by its sha256."""
+
+    stage: str
+    version: str
+    config_hash: str
+    inputs: dict[str, str]
+    outputs: dict[str, str]
+
+
+def _read_manifest(path: Path) -> Manifest | None:
+    """The manifest at path; None if it is missing or not a manifest."""
     try:
-        man = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, OSError):
+        return from_row(Manifest, corpus.read_json(path))
+    except (OSError, PipelineError, UnicodeDecodeError):
         return None
-    if isinstance(man, dict) and all(isinstance(man.get(k, {}), dict) for k in ("inputs", "outputs")):
-        return man
-    return None
 
 
 def _external_inputs(name: str, cfg: PipelineConfig) -> dict[str, Path]:
@@ -553,7 +524,7 @@ def _check_inputs(stage: StageDef, ctx: StageContext) -> dict[str, str]:
             raise PipelineError(
                 f"missing artifact {p.name}; run the '{producer}' stage first"
             )
-        hashes[name] = _sha256_file(p)
+        hashes[name] = ctx.digest(p)
         if ctx.force:
             continue
         man = _read_manifest(manifest_path(ctx.workdir, producer))
@@ -562,7 +533,7 @@ def _check_inputs(stage: StageDef, ctx: StageContext) -> dict[str, str]:
                 f"artifact {p.name} has no manifest from stage '{producer}'; "
                 f"rerun '{producer}' or pass --force"
             )
-        if man.get("outputs", {}).get(name) != hashes[name]:
+        if man.outputs.get(name) != hashes[name]:
             raise PipelineError(
                 f"artifact {p.name} does not match the manifest written by "
                 f"stage '{producer}' (stale or edited); rerun '{producer}' "
@@ -572,25 +543,19 @@ def _check_inputs(stage: StageDef, ctx: StageContext) -> dict[str, str]:
         if not p.is_file():
             why = "is not a file" if p.exists() else "not found"
             raise PipelineError(f"input {name} {why}: {p}")
-        hashes[name] = _sha256_file(p)
+        hashes[name] = ctx.digest(p)
     return hashes
 
 
 def _is_fresh(stage: StageDef, ctx: StageContext, input_hashes: dict[str, str]) -> bool:
     man = _read_manifest(manifest_path(ctx.workdir, stage.name))
-    if man is None:
+    if man is None or man.version != __version__ or man.config_hash != stage.config_hash(ctx.cfg):
         return False
-    if man.get("config_hash") != stage.config_hash(ctx.cfg) or man.get("version") != __version__:
+    if man.inputs != input_hashes or set(man.outputs) != set(stage.expected_outputs(ctx.cfg)):
         return False
-    if man.get("inputs", {}) != input_hashes:
-        return False
-    expected = set(stage.expected_outputs(ctx.cfg))
-    recorded = man.get("outputs", {})
-    if set(recorded) != expected:
-        return False
-    for name, digest in recorded.items():
+    for name, digest in man.outputs.items():
         p = ctx.path(name)
-        if not p.exists() or _sha256_file(p) != digest:
+        if not p.exists() or ctx.digest(p) != digest:
             return False
     return True
 
@@ -647,16 +612,11 @@ def run_stage(
             ctx.path(art).unlink(missing_ok=True)
         elif art not in ctx.outputs:
             raise PipelineError(f"stage '{name}' did not write {ctx.path(art).name}")
-    manifest = {
-        "stage": name,
-        "version": __version__,
-        "config_hash": stage.config_hash(cfg),
-        "inputs": input_hashes,
-        "outputs": {art: ctx.outputs[art] for art in expected},
-    }
+    outputs = {art: ctx.outputs[art] for art in expected}
     # written last: a run that fails before here leaves the previous manifest,
     # which no longer matches any output the run replaced, so the stage reruns
-    corpus.write_json(manifest_path(ctx.workdir, name), manifest)
+    manifest = Manifest(name, __version__, stage.config_hash(cfg), input_hashes, outputs)
+    _json(manifest_path(ctx.workdir, name), manifest)
 
     elapsed = time.perf_counter() - start
     log.info("[%s] finished in %.2fs", name, elapsed)

@@ -19,6 +19,11 @@ def run(argv):
     return main(argv)
 
 
+def key_at(container, key):
+    """The key of a dict that an int key names by position; any other key as it is."""
+    return list(container)[key] if isinstance(container, dict) and isinstance(key, int) else key
+
+
 class TestParsing:
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -86,9 +91,34 @@ class TestErrors:
     def error_lines(caplog) -> list[str]:
         return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
 
-    @pytest.mark.parametrize("content", ['{"broken', "{}", "[]", '{"components": 1}'])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"broken',
+            "{}",
+            "[]",
+            '{"components": 1}',
+            # (keys, value): a string where a list belongs, which must not be
+            # read as a list of one-letter strings; an int key at a dict is
+            # the position of one of its keys
+            (("node_locations", 0), "Miami"),
+            (("nodes",), "a000001"),
+            (("components", 0), "a000001"),
+            (("edges",), [{"a": "a000001", "b": "a000002", "shared": "phone:2125550100"}]),
+            # a components key that is not an int
+            (("components", "x"), ["a000001"]),
+        ],
+    )
     def test_corrupt_graph_json_is_one_error_line(self, finished_workdir, caplog, content):
-        (finished_workdir / "graph.json").write_text(content, encoding="utf-8")
+        path = finished_workdir / "graph.json"
+        if isinstance(content, tuple):
+            (*keys, last), value = content
+            doc = target = json.loads(path.read_text(encoding="utf-8"))
+            for key in keys:
+                target = target[key_at(target, key)]
+            target[key_at(target, last)] = value
+            content = json.dumps(doc)
+        path.write_text(content, encoding="utf-8")
         caplog.clear()
         assert run(["stats", "--workdir", str(finished_workdir), "--force"]) == 1
         [error] = self.error_lines(caplog)
@@ -135,6 +165,7 @@ class TestErrors:
             ("htrp_labels", "label", True),
             ("clusters", "member_ids", "a000001"),
             ("records", "posted_at", "yesterday"),
+            ("identifiers", "ad_id", 1),
         ],
     )
     def test_wrong_value_type_is_one_error_line(self, finished_workdir, caplog, artifact, field, value):

@@ -12,9 +12,9 @@ from adgraph.analysis import WilcoxonResult
 from adgraph.cli import main
 from adgraph.dedup import DuplicateCluster
 from adgraph.errors import EmptyCorpusError, IngestError, PipelineError
-from adgraph.extract import Identifier
-from adgraph.graph import GraphEdge
-from adgraph.label import HtrpFeatures, LabeledAd, LabeledPair
+from adgraph.extract import AdIdentifier, Identifier
+from adgraph.graph import GraphEdge, RelatednessGraph
+from adgraph.label import HtrpFeatures, LabeledAd, LabeledPair, Split
 
 from conftest import corpus_row, make_record, write_corpus
 
@@ -267,6 +267,15 @@ ROW_CASES = {
     "pair": LabeledPair("a", "b", 1, 0.25, "train"),
     "labeled_ad": LabeledAd("a1", 1, HtrpFeatures(10.0, 3, 5, 1), ["phones"]),
     "wilcoxon": WilcoxonResult(4.0, 0.125, 6, False, "exact"),
+    "ad_identifier": AdIdentifier(kind="email", raw="x@y.com", canonical="x@y.com", ad_id="a1"),
+    "split": Split({2: "train", 10: "test"}),
+    "graph": RelatednessGraph(
+        nodes=["a", "b", "c"],
+        edges=[GraphEdge("a", "b", ["phone:5551230147"])],
+        components={0: ["a", "b"], 1: ["c"]},
+        node_identifiers={"a": ["phone:5551230147"], "b": ["phone:5551230147"], "c": []},
+        node_locations={"a": ["miami"], "b": [], "c": []},
+    ),
 }
 
 
@@ -331,6 +340,48 @@ class TestRowCodec:
         row["features"]["max_span_miles"] = True
         with pytest.raises(PipelineError, match="HtrpFeatures row has max_span_miles"):
             corpus.from_row(LabeledAd, row)
+
+    def test_int_keys_are_written_as_text_and_read_back_in_numeric_order(self):
+        row = corpus.to_row(ROW_CASES["split"])
+        assert row == {"components": {"2": "train", "10": "test"}}
+        row["components"] = {"10": "test", "2": "train"}
+        assert list(corpus.from_row(Split, row).components) == [2, 10]
+
+    @pytest.mark.parametrize("key", ["x", "1.0", "01", " 2", "-0", "\u0662"])
+    def test_a_key_that_is_not_an_ints_text_is_a_pipeline_error(self, key):
+        with pytest.raises(PipelineError, match="Split row has components of a type other than"):
+            corpus.from_row(Split, {"components": {key: "train"}})
+
+    @pytest.mark.parametrize("side", ["nope", "Train", 1, None, ["train"]])
+    def test_a_value_outside_its_literal_is_a_pipeline_error(self, side):
+        with pytest.raises(PipelineError, match="Split row has components"):
+            corpus.from_row(Split, {"components": {"0": side}})
+
+    def test_a_derived_field_is_neither_written_nor_read(self):
+        graph = ROW_CASES["graph"]
+        assert graph.component_of == {"a": 0, "b": 0, "c": 1}
+        row = corpus.to_row(graph)
+        assert "component_of" not in row
+        row["component_of"] = graph.component_of
+        with pytest.raises(PipelineError, match="RelatednessGraph row has keys"):
+            corpus.from_row(RelatednessGraph, row)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("node_locations", {"a": "Miami"}),
+            ("node_locations", {"a": [1]}),
+            ("node_identifiers", {"a": [["x"]]}),
+            ("edges", [{"a": "a", "b": "b", "shared": "phone:5551230147"}]),
+            ("components", {"0": "a"}),
+            ("materialization", "clique"),
+        ],
+    )
+    def test_a_wrong_type_at_any_depth_is_a_pipeline_error(self, field, value):
+        row = json.loads(json.dumps(corpus.to_row(ROW_CASES["graph"])))
+        row[field] = value
+        with pytest.raises(PipelineError, match="row has (shared|[a-z_]+) of a type other than"):
+            corpus.from_row(RelatednessGraph, row)
 
     def test_a_timestamp_that_does_not_parse_is_a_pipeline_error(self):
         row = corpus.to_row(ROW_CASES["record"])

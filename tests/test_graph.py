@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from adgraph import graph as g
 from adgraph.dedup import DuplicateCluster
 from adgraph.extract import Identifier
+from adgraph.pipeline import FORMATS
 
 from oracles import components_ref, export_graphml_ref
 
@@ -132,7 +133,6 @@ class TestStats:
         built = g.RelatednessGraph(
             nodes=[f"n{i}" for i in range(17)],
             edges=[],
-            component_of={},
             components={0: ["n0"], 1: ["n1"], 2: [f"n{i}" for i in range(2, 5)],
                         3: [f"n{i}" for i in range(5, 17)]},
         )
@@ -142,7 +142,7 @@ class TestStats:
 
     def test_csv_layout(self, tmp_path):
         built = g.RelatednessGraph(
-            nodes=["a"], edges=[], component_of={"a": 0}, components={0: ["a"]}
+            nodes=["a"], edges=[], components={0: ["a"]}
         )
         path = tmp_path / "stats.csv"
         g.stats_to_csv(g.component_stats(built), path)
@@ -157,14 +157,11 @@ class TestSerialization:
         clusters, ids_by_ad = _random_world(11)
         built = g.build_graph(clusters, ids_by_ad, {"c000": ["dallas"]})
         path = tmp_path / "graph.json"
-        g.write_graph_json(built, path)
-        again = g.read_graph_json(path)
-        assert again.nodes == built.nodes
-        assert again.edges == built.edges
-        assert again.components == built.components
-        assert again.component_of == built.component_of
-        assert again.node_identifiers == built.node_identifiers
-        assert again.node_locations == built.node_locations
+        graph_json = FORMATS["graph"]
+        graph_json.write(path, built)
+        again = graph_json.parse(path)
+        # every field, component_of (derived from components) included
+        assert again == built
 
     def test_graphml_reparses_with_attributes(self, tmp_path):
         nx = pytest.importorskip("networkx")
@@ -250,7 +247,6 @@ class TestGraphmlWriter:
         built = g.RelatednessGraph(
             nodes=["", "a"],
             edges=[g.GraphEdge("", "a", [])],
-            component_of={"": 0, "a": 0},
             components={0: ["", "a"]},
         )
         g.export_graphml(built, tmp_path / "new.graphml")

@@ -3,18 +3,27 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 import shutil
 from collections import Counter
+from datetime import datetime
 from pathlib import Path
+from types import UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import adgraph
 from adgraph import cli, corpus, extract, pipeline, synth
 from adgraph.config import DEFAULTS, config_hash, load_config
 from adgraph.corpus import CSV_COLUMNS, build_original_text, read_jsonl, to_row
+from adgraph.dedup import DuplicateCluster
 from adgraph.errors import PipelineError
-from adgraph.pipeline import ALL_CHAIN, ARTIFACTS, run_all, run_stage
+from adgraph.graph import RelatednessGraph
+from adgraph.label import LabeledAd, Split
+from adgraph.pipeline import ALL_CHAIN, ARTIFACTS, PRODUCER, run_all, run_stage
 
 from conftest import corpus_row, write_corpus
 
@@ -175,9 +184,12 @@ class TestStaleness:
         with pytest.raises(PipelineError, match="no manifest"):
             run_stage("dedup", cfg)
 
-    @pytest.mark.parametrize("content", ["[]", '"x"', '{"outputs": []}', '{"outputs": {}, "inputs": 1}'])
+    @pytest.mark.parametrize(
+        "content", ["[]", '"x"', '{"outputs": []}', '{"outputs": {}, "inputs": 1}', b'\xff\xfe{"outputs": {}}']
+    )
     def test_malformed_producer_manifest_is_no_manifest(self, prepared, content):
-        (prepared.workdir / "manifests" / "ingest.json").write_text(content, encoding="utf-8")
+        path = prepared.workdir / "manifests" / "ingest.json"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
         with pytest.raises(PipelineError, match="no manifest from stage 'ingest'"):
             run_stage("dedup", prepared)
 
@@ -538,7 +550,7 @@ class TestHandOff:
         )
         run_all(cfg)
         parsed = pipeline.PARSERS["identifiers"](cfg.workdir / ARTIFACTS["identifiers"])
-        assert set(parsed) == {"a1"}
+        assert {found.ad_id for found in parsed} == {"a1"}
         assert len(read_jsonl(cfg.workdir / ARTIFACTS["annotation_rejects"])) == 1
         assert repr(dict(written)["identifiers"]) == repr(parsed)
 
@@ -585,6 +597,205 @@ class TestHandOff:
         corpus.write_jsonl(path, rows)
         ctx.inputs = {"normalized": pipeline._sha256_file(path)}
         assert ctx.read("normalized")[0].norm_text == "edited"
+
+
+class TestDigestOncePerChain:
+    @pytest.fixture()
+    def hashed(self, monkeypatch) -> Counter[str]:
+        """How often each file is hashed."""
+        calls: Counter[str] = Counter()
+        sha256_file = pipeline._sha256_file
+
+        def counted(path):
+            calls[Path(path).relative_to(path.parent.parent).as_posix()] += 1
+            return sha256_file(path)
+
+        monkeypatch.setattr(pipeline, "_sha256_file", counted)
+        return calls
+
+    def test_a_chain_hashes_each_file_once(self, tmp_path, hashed):
+        cfg = make_cfg(tmp_path / "w")
+        run_stage("synth", cfg)
+        for rerun in ([], ["label.distance_threshold_miles=690", "label.phone_count_threshold=4"]):
+            hashed.clear()
+            run_all(make_cfg(tmp_path / "w", rerun))
+            assert hashed and set(hashed.values()) == {1}, hashed
+
+    @staticmethod
+    def append_a_line(path: Path) -> None:
+        path.write_bytes(path.read_bytes() + b"\n")
+
+    @staticmethod
+    def same_size_new_inode_same_mtime(path: Path) -> None:
+        st = path.stat()
+        tmp = path.with_name("edited")
+        tmp.write_bytes(path.read_bytes().replace(b"a", b"A", 1))
+        os.utime(tmp, ns=(st.st_atime_ns, st.st_mtime_ns))
+        os.replace(tmp, path)
+
+    @pytest.mark.parametrize("edit", ["append_a_line", "same_size_new_inode_same_mtime"])
+    def test_an_artifact_edited_between_two_stages_is_stale(self, tmp_path, monkeypatch, edit):
+        # clusters.jsonl is hashed when dedup writes it and again when graph reads it
+        cfg = make_cfg(tmp_path / "w")
+        run_stage("synth", cfg)
+        stage = pipeline.run_stage
+
+        def edit_after_dedup(name, *args, **kwargs):
+            result = stage(name, *args, **kwargs)
+            if name == "dedup":
+                getattr(self, edit)(cfg.workdir / ARTIFACTS["clusters"])
+            return result
+
+        monkeypatch.setattr(pipeline, "run_stage", edit_after_dedup)
+        with pytest.raises(PipelineError, match="clusters.jsonl does not match .*stale or edited.*rerun 'dedup'"):
+            run_all(cfg)
+
+
+# the row class of each artifact a stage parses
+ROW_CLASSES = {
+    "records": corpus.AdRecord,
+    "normalized": corpus.NormalizedAd,
+    "clusters": DuplicateCluster,
+    "identifiers": extract.AdIdentifier,
+    "graph": RelatednessGraph,
+    "split": Split,
+    "htrp_labels": LabeledAd,
+}
+
+# a JSON value of each type
+SAMPLES = (None, True, 7, 1.5, "x", [], {})
+DELETE, COPY = object(), object()
+
+
+def takes(hint, value) -> bool:
+    """Whether a value of a field typed hint may be value, judged by its
+    own JSON type alone (a Literal by the value itself)."""
+    if isinstance(hint, UnionType):
+        return any(takes(h, value) for h in get_args(hint))
+    if get_origin(hint) is Literal:
+        return value in get_args(hint)
+    if hint is float:
+        return type(value) in (int, float)
+    if hint is datetime:
+        return type(value) is str
+    if dataclasses.is_dataclass(hint):
+        return type(value) is dict
+    return type(value) is (get_origin(hint) or hint)
+
+
+def stored_fields(cls) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f) for f in dataclasses.fields(cls) if f.init}
+
+
+def positions(hint, path=()):
+    """(path, hint) of every value under hint; an int step stands for a
+    list's index or a dict's key by position."""
+    yield path, hint
+    if dataclasses.is_dataclass(hint):
+        for name, (field_hint, _) in stored_fields(hint).items():
+            yield from positions(field_hint, path + (name,))
+    elif get_origin(hint) in (list, dict):
+        yield from positions(get_args(hint)[-1], path + (0,))
+
+
+def required(cls) -> list[str]:
+    return [
+        name
+        for name, (_, f) in stored_fields(cls).items()
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
+
+
+@st.composite
+def corruptions(draw):
+    """(artifact, path, value) that the artifact's schema forbids: a value of
+    a wrong JSON type, a missing required key, or a key it does not have."""
+    artifact = draw(st.sampled_from(sorted(ROW_CLASSES)))
+    cls = ROW_CLASSES[artifact]
+    rows = ARTIFACTS[artifact].endswith(".jsonl")
+    path, hint = draw(st.sampled_from(list(positions(cls, (0,) if rows else ()))))
+    path = tuple(draw(st.integers(0, 99)) if isinstance(step, int) else step for step in path)
+    kinds = ["type"]
+    if dataclasses.is_dataclass(hint):
+        kinds += ["extra", "missing"] if required(hint) else ["extra"]
+    elif get_origin(hint) is dict and get_args(hint)[0] is int:
+        kinds += ["extra"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "type":
+        return artifact, path, draw(st.sampled_from([v for v in SAMPLES if not takes(hint, v)]))
+    if kind == "missing":
+        return artifact, path + (draw(st.sampled_from(required(hint))),), DELETE
+    if dataclasses.is_dataclass(hint):
+        derived = [f.name for f in dataclasses.fields(hint) if not f.init]
+        return artifact, path + (draw(st.sampled_from(["extra", *derived])),), 1
+    # an int key written as other text
+    return artifact, path + (draw(st.sampled_from(["x", "1.0", "01"])),), COPY
+
+
+def corrupt(doc, path, value):
+    """doc with value at path (deleted when it is DELETE, a copy of one of
+    the dict's values when it is COPY)."""
+    if not path:
+        return value
+    root = doc
+    *steps, last = path
+
+    def key(target, step):
+        if not isinstance(step, int):
+            return step
+        assume(len(target) > 0)
+        return step % len(target) if isinstance(target, list) else list(target)[step % len(target)]
+
+    for step in steps:
+        doc = doc[key(doc, step)]
+    if value is DELETE:
+        del doc[last]
+    elif value is COPY:
+        assume(len(doc) > 0)
+        doc[last] = next(iter(doc.values()))
+    else:
+        doc[key(doc, last)] = value
+    return root
+
+
+class TestCorruptArtifacts:
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        cfg = make_cfg(tmp_path_factory.mktemp("corrupt") / "w")
+        run_stage("synth", cfg)
+        run_all(cfg)
+        return cfg
+
+    def test_every_parsed_artifact_has_a_row_class(self):
+        assert set(ROW_CLASSES) == set(pipeline.PARSERS)
+
+    @given(corruption=corruptions())
+    # a feature that is text, an ad_id that is a number, and a string
+    # where a list of places belongs
+    @example(corruption=("htrp_labels", (0, "features", "max_span_miles"), "x"))
+    @example(corruption=("identifiers", (0, "ad_id"), 1))
+    @example(corruption=("graph", ("node_locations", 0), "Miami"))
+    @settings(max_examples=300, deadline=None)
+    def test_a_value_the_schema_forbids_is_one_error_line(self, finished, corruption):
+        artifact, path, value = corruption
+        file = finished.workdir / ARTIFACTS[artifact]
+        original = file.read_text(encoding="utf-8")
+        rows = file.suffix == ".jsonl"
+        doc = [json.loads(line) for line in original.splitlines()] if rows else json.loads(original)
+        doc = corrupt(doc, path, value)
+        try:
+            file.write_text("".join(json.dumps(r) + "\n" for r in doc) if rows else json.dumps(doc), encoding="utf-8")
+            ctx = pipeline.StageContext(finished, force=True)
+            ctx.inputs = {artifact: pipeline._sha256_file(file)}
+            with pytest.raises(PipelineError) as exc:
+                ctx.read(artifact)
+        finally:
+            file.write_text(original, encoding="utf-8")
+        message = str(exc.value)
+        assert "\n" not in message
+        assert f"artifact {file.name} cannot be read" in message
+        assert f"rerun '{PRODUCER[artifact]}' with --force" in message
 
 
 class TestAtomicWrites:
