@@ -59,15 +59,26 @@ def _merge(base: dict, incoming: dict, path: str = "") -> None:
                 raise ConfigError(f"{here}: expected an object")
             _merge(current, value, here)
             continue
-        if value is not None and current is not None:
-            want = type(current)
-            if want is float and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            elif want is bool and not isinstance(value, bool):
-                raise ConfigError(f"{here}: expected a boolean")
-            elif not isinstance(value, want) or (want is int and isinstance(value, bool)):
-                raise ConfigError(f"{here}: expected {want.__name__}")
-        base[key] = value
+        base[key] = _checked(here, value)
+
+
+def _checked(dotted: str, value: Any) -> Any:
+    """value for a leaf key, if it has the key's type: its default's, or
+    its _NULLABLE entry's. Null is taken only where the default is null
+    and by the variant keys, whose null keeps the label.* value."""
+    default = _lookup(DEFAULTS, dotted)
+    if value is None:
+        if default is None or dotted.startswith("analysis.variant."):
+            return None
+        raise ConfigError(f"{dotted}: must not be null")
+    want = _NULLABLE.get(dotted, type(default))
+    if want is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if want is bool and not isinstance(value, bool):
+        raise ConfigError(f"{dotted}: expected a boolean")
+    if not isinstance(value, want) or (want is int and isinstance(value, bool)):
+        raise ConfigError(f"{dotted}: expected {want.__name__}" + (" or null" if default is None else ""))
+    return value
 
 
 def _apply_override(cfg: dict, expr: str) -> None:
@@ -94,12 +105,14 @@ def _lookup(cfg_dict: dict, dotted: str) -> Any:
     return cfg_dict
 
 
-# keys whose default is null, so _merge cannot check them against it
+# the type of each key whose default is null
 _NULLABLE = {
     "corpus.path": str,
     "corpus.annotations": str,
     "gazetteer": str,
     "graph.quarantine_cap": int,
+    "analysis.variant.phone_count_threshold": int,
+    "analysis.variant.rule_combination": str,
     "export.component": int,
 }
 
@@ -164,23 +177,23 @@ class PipelineConfig:
     def stage_enabled(self, name: str) -> bool:
         return bool(self.raw["stages"].get(name, True))
 
-    def _section(self, cls: type, section: str, **changes: Any):
+    def _section(self, cls: type, section: str, changes: dict | None = None, name: str | None = None):
         """cls built from the seed, one config section and changes to it;
-        its ConfigError names the section."""
+        its ConfigError names `name`, or else the section."""
         try:
-            return cls(seed=self.seed, **{**self.raw[section], **changes})
+            return cls(seed=self.seed, **{**self.raw[section], **(changes or {})})
         except ConfigError as e:
-            raise ConfigError(f"{section}: {e}") from None
+            raise ConfigError(f"{name or section}: {e}") from None
 
     def similarity(self) -> SimilarityConfig:
         return self._section(SimilarityConfig, "dedup")
 
     def labeling(self, variant: bool = False) -> LabelingConfig:
+        if not variant:
+            return self._section(LabelingConfig, "label")
         # a null variant value keeps the label.* one
-        changes = self.raw["analysis"]["variant"] if variant else {}
-        return self._section(
-            LabelingConfig, "label", **{k: v for k, v in changes.items() if v is not None}
-        )
+        changes = {k: v for k, v in self.raw["analysis"]["variant"].items() if v is not None}
+        return self._section(LabelingConfig, "label", changes, name="analysis.variant")
 
     def synth_spec(self) -> SynthSpec:
         return self._section(SynthSpec, "synth")
@@ -190,16 +203,10 @@ class PipelineConfig:
         return Gazetteer.load(p) if p else Gazetteer.bundled()
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed: expected int")
         if self.threads < 1:
             raise ConfigError("threads: must be >= 1")
         if self.corpus_format not in ("jsonl", "csv"):
             raise ConfigError("corpus.format: must be jsonl or csv")
-        for dotted, want in _NULLABLE.items():
-            value = _lookup(self.raw, dotted)
-            if value is not None and (not isinstance(value, want) or isinstance(value, bool)):
-                raise ConfigError(f"{dotted}: expected {want.__name__} or null")
         cap = self.quarantine_cap
         if cap is not None and cap < 2:
             raise ConfigError("graph.quarantine_cap: must be >= 2 or null")

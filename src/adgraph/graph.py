@@ -5,6 +5,11 @@ edges; instead edges are materialized as a star around the lowest ad_id
 sharing it. Connectivity (hence components) is identical to the clique
 form, edge count stays linear, and every edge records which identifiers
 back it.
+
+The graph is built from the rows of clusters.jsonl, identifiers.jsonl
+and records.jsonl as they are read: one map from each clustered ad to
+its canonical node takes each identifier row and each record's locations
+to that node, and a row that contradicts the clusters stops the build.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Literal
 
-from .corpus import atomic_open
+from .corpus import AdRecord, atomic_open
 from .dedup import DuplicateCluster
-from .extract import AdIdentifier, Identifier
+from .errors import PipelineError
+from .extract import AdIdentifier
 from .unionfind import UnionFind
 
 log = logging.getLogger(__name__)
@@ -47,6 +53,12 @@ class RelatednessGraph:
 
     def __post_init__(self) -> None:
         self.component_of = {node: idx for idx, members in self.components.items() for node in members}
+        # graph.json is parsed through here: its components must partition its nodes
+        if not all(self.components.values()):
+            raise PipelineError("a component is empty")
+        once = sum(map(len, self.components.values())) == len(self.component_of) == len(self.nodes)
+        if not once or self.component_of.keys() != set(self.nodes):
+            raise PipelineError("the components do not list each node exactly once")
 
 
 @dataclass
@@ -75,41 +87,49 @@ def size_bucket(size: int) -> str:
     return "1000+"
 
 
-def _identifier_key(ident: Identifier) -> str:
-    return f"{ident.kind}:{ident.canonical}"
+class InconsistentInput(ValueError):
+    """A row of one input that contradicts the others; `artifact` names
+    that input: "clusters", "identifiers" or "records"."""
+
+    def __init__(self, artifact: str, reason: str):
+        super().__init__(reason)
+        self.artifact = artifact
 
 
 def build_graph(
     clusters: Iterable[DuplicateCluster],
-    identifiers_by_ad: Mapping[str, Iterable[Identifier | AdIdentifier]],
-    locations_by_ad: Mapping[str, Iterable[str]] | None = None,
+    identifiers: Iterable[AdIdentifier],
+    records: Iterable[AdRecord],
     quarantine_cap: int | None = None,
 ) -> RelatednessGraph:
     """Build the graph over cluster canonicals.
 
-    Identifiers (and location strings) found on any cluster member
+    The identifier rows and the record locations of every cluster member
     count for its canonical. An identifier shared by more ads than
     quarantine_cap (when set) is excluded from linking and recorded in
-    graph.quarantined.
+    graph.quarantined. A canonical or an ad in two clusters, a canonical
+    outside its cluster, or an identifier or record row whose ad is in no
+    cluster raises InconsistentInput.
     """
     clusters = list(clusters)
     nodes = sorted(c.canonical_id for c in clusters)
-    if len(nodes) != len(set(nodes)):
-        raise ValueError("duplicate canonical ids across clusters")
-
     ids_of_node: dict[str, set[str]] = {n: set() for n in nodes}
     locs_of_node: dict[str, set[str]] = {n: set() for n in nodes}
-    for cluster in clusters:
-        bag = ids_of_node[cluster.canonical_id]
-        locs = locs_of_node[cluster.canonical_id]
-        for member in cluster.member_ids:
-            for ident in identifiers_by_ad.get(member, ()):
-                bag.add(_identifier_key(ident))
-            if locations_by_ad is not None:
-                for loc in locations_by_ad.get(member, ()):
-                    loc = loc.strip()
-                    if loc:
-                        locs.add(loc)
+    node_of = {member: c.canonical_id for c in clusters for member in c.member_ids}
+    if len(ids_of_node) != len(nodes):
+        raise InconsistentInput("clusters", "a canonical id is in two clusters")
+    if len(node_of) != sum(len(c.member_ids) for c in clusters):
+        raise InconsistentInput("clusters", "an ad is in two clusters")
+    if any(node_of.get(c.canonical_id) != c.canonical_id for c in clusters):
+        raise InconsistentInput("clusters", "a canonical id is not a member of its cluster")
+    for row in identifiers:
+        if row.ad_id not in node_of:
+            raise InconsistentInput("identifiers", f"ad {row.ad_id!r} is in no cluster")
+        ids_of_node[node_of[row.ad_id]].add(f"{row.kind}:{row.canonical}")
+    for record in records:
+        if record.ad_id not in node_of:
+            raise InconsistentInput("records", f"ad {record.ad_id!r} is in no cluster")
+        locs_of_node[node_of[record.ad_id]].update(filter(None, map(str.strip, record.locations)))
 
     sharers: dict[str, list[str]] = {}
     for node in nodes:

@@ -14,7 +14,10 @@ artifact's file name, writer and parser are one entry in FORMATS. Every
 artifact and manifest is a dataclass written by corpus.to_row and parsed
 by corpus.from_row, which checks each value against its field's type
 hint to any depth; a reader in the same context gets the object that the
-writer encoded.
+writer encoded. An input that cannot be used, unreadable or at odds with
+the stage's other inputs (an ad_id repeated in dedup's input, a row of
+graph's that contradicts the clusters), stops the stage with one error
+naming the file and the stage that writes it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .analysis import compare_label_variants
 from .config import PipelineConfig, config_hash
 from .corpus import from_row, to_row
 from .errors import ConfigError, PipelineError
-from .graph import RelatednessGraph, build_graph, component_stats, export_dot, export_graphml, stats_to_csv
+from .graph import InconsistentInput, RelatednessGraph, build_graph, component_stats, export_dot, export_graphml, stats_to_csv
 from .label import LabeledAd, Split, generate_oad_pairs, label_htrp, relabel, split_components, split_report
 
 log = logging.getLogger("adgraph")
@@ -238,7 +241,11 @@ def _run_ingest(ctx: StageContext) -> None:
 
 def _run_dedup(ctx: StageContext) -> None:
     posted = {r.ad_id: r.posted_at for r in ctx.read("records")}
-    clusters = dedup.deduplicate(ctx.read("normalized"), ctx.cfg.similarity(), posted)
+    normalized, cfg = ctx.read("normalized"), ctx.cfg.similarity()
+    try:
+        clusters = dedup.deduplicate(normalized, cfg, posted)
+    except ValueError as exc:  # an ad_id repeated
+        raise ctx.unreadable("normalized", exc) from exc
     ctx.write("clusters", clusters)
     near = sum(1 for c in clusters if c.method == "near")
     log.info("%d clusters (%d near-duplicate)", len(clusters), near)
@@ -276,23 +283,13 @@ def _run_extract(ctx: StageContext) -> None:
 
 
 def _run_graph(ctx: StageContext) -> None:
-    locations = {r.ad_id: r.locations for r in ctx.read("records")}
-    identifiers: dict[str, list[extract.AdIdentifier]] = {}
-    for found in ctx.read("identifiers"):
-        identifiers.setdefault(found.ad_id, []).append(found)
-    graph = build_graph(
-        ctx.read("clusters"),
-        identifiers,
-        locations,
-        quarantine_cap=ctx.cfg.quarantine_cap,
-    )
+    clusters, identifiers, records = ctx.read("clusters"), ctx.read("identifiers"), ctx.read("records")
+    try:
+        graph = build_graph(clusters, identifiers, records, ctx.cfg.quarantine_cap)
+    except InconsistentInput as exc:
+        raise ctx.unreadable(exc.artifact, exc) from exc
     ctx.write("graph", graph)
-    log.info(
-        "%d nodes, %d edges, %d components",
-        len(graph.nodes),
-        len(graph.edges),
-        len(graph.components),
-    )
+    log.info("%d nodes, %d edges, %d components", len(graph.nodes), len(graph.edges), len(graph.components))
 
 
 def _run_stats(ctx: StageContext) -> None:

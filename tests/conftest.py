@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from adgraph import corpus, extract
+from adgraph import corpus, extract, graph
 
 
 def make_record(
@@ -37,6 +37,18 @@ def record_identifiers(record: corpus.AdRecord, norm: corpus.NormalizedAd) -> li
     """extract_identifiers on one ingested record, as the extract stage calls it."""
     original = corpus.build_original_text(record.title, record.description)
     return extract.extract_identifiers(record.declared_phone, original, norm.norm_text)
+
+
+def graph_of(clusters, ids_by_ad=None, locations=None, quarantine_cap=None) -> graph.RelatednessGraph:
+    """build_graph on identifiers and locations given per ad, passed as the
+    identifier rows and the records that the graph stage reads."""
+    rows = [
+        extract.AdIdentifier(ad_id, i.kind, i.raw, i.canonical, i.start, i.end)
+        for ad_id, idents in (ids_by_ad or {}).items()
+        for i in idents
+    ]
+    records = [make_record(ad_id, locations=locs) for ad_id, locs in (locations or {}).items()]
+    return graph.build_graph(clusters, rows, records, quarantine_cap)
 
 
 def ad_texts(text: str, title: str = "") -> tuple[str, str]:

@@ -21,13 +21,13 @@ from adgraph.corpus import normalize
 from adgraph.dedup import DuplicateCluster, SimilarityConfig, deduplicate, similarities
 from adgraph.extract import Identifier, extract_identifiers
 from adgraph.geo import Gazetteer, haversine_miles
-from adgraph.graph import build_graph, component_stats
+from adgraph.graph import component_stats
 from adgraph.kernels import band_keys, levenshtein_many
 from adgraph.label import LabelingConfig, generate_oad_pairs, label_htrp, split_components, split_report
 from adgraph.pipeline import run_all, run_stage
 from adgraph.synth import SynthSpec, generate_corpus
 
-from conftest import record_identifiers
+from conftest import graph_of, record_identifiers
 from oracles import (
     components_ref,
     haversine_ref,
@@ -68,7 +68,7 @@ def planted_graph(planted_1000):
         for r, n in zip(records, normalized)
     }
     locations = {r.ad_id: r.locations for r in records}
-    graph = build_graph(clusters, ids_by_ad, locations)
+    graph = graph_of(clusters, ids_by_ad, locations)
     return clusters, ids_by_ad, graph
 
 
@@ -319,7 +319,7 @@ def test_criterion_05_component_partition():
             r.ad_id: record_identifiers(r, n)
             for r, n in zip(records, normalized)
         }
-        graph = build_graph(clusters, ids_by_ad, {r.ad_id: r.locations for r in records})
+        graph = graph_of(clusters, ids_by_ad, {r.ad_id: r.locations for r in records})
 
         oracle = components_ref(
             {c.canonical_id: list(c.member_ids) for c in clusters},
@@ -359,7 +359,7 @@ def test_criterion_06_oad_dataset():
         r.ad_id: record_identifiers(r, n)
         for r, n in zip(records, normalized)
     }
-    graph = build_graph(clusters, ids_by_ad, {r.ad_id: r.locations for r in records})
+    graph = graph_of(clusters, ids_by_ad, {r.ad_id: r.locations for r in records})
     texts = {n.ad_id: n.norm_text for n in normalized}
     cfg = LabelingConfig(pairs_per_class=200, seed=11)
     split_of = split_components(graph, cfg)
@@ -435,7 +435,7 @@ def _scenario_graph(groups, locations=None, extra_phones=None):
         for _ in range(n):
             ids_by_ad[ad].append(Identifier("phone", f"x{counter}", f"903555{counter:04d}"))
             counter += 1
-    return build_graph(clusters, ids_by_ad, locations or {})
+    return graph_of(clusters, ids_by_ad, locations or {})
 
 
 def test_criterion_08_htrp_geography(planted_graph):

@@ -78,6 +78,15 @@ class TestErrors:
         caplog.clear()
         assert run(["dedup", "--workdir", workdir, "--force"]) == 1
         assert "not valid json" in caplog.text
+        # a row repeated
+        normalized = tmp_path / "w" / "normalized.jsonl"
+        rows = normalized.read_text(encoding="utf-8").splitlines()[:-1]
+        normalized.write_text("\n".join([*rows, rows[0]]) + "\n", encoding="utf-8")
+        caplog.clear()
+        assert run(["dedup", "--workdir", workdir, "--force"]) == 1
+        [error] = self.error_lines(caplog)
+        assert "duplicate ad_id" in error and "normalized.jsonl" in error
+        assert "rerun 'ingest' with --force" in error
 
     @pytest.fixture
     def finished_workdir(self, tmp_path):
@@ -90,6 +99,22 @@ class TestErrors:
     @staticmethod
     def error_lines(caplog) -> list[str]:
         return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+    @staticmethod
+    def edit_json(path, content) -> None:
+        """Write content at path: a string as it is; (keys, value) sets the
+        value at that path of the file's document, and a function edits it."""
+        if not isinstance(content, str):
+            doc = target = json.loads(path.read_text(encoding="utf-8"))
+            if callable(content):
+                content(doc)
+            else:
+                (*keys, last), value = content
+                for key in keys:
+                    target = target[key_at(target, key)]
+                target[key_at(target, last)] = value
+            content = json.dumps(doc)
+        path.write_text(content, encoding="utf-8")
 
     @pytest.mark.parametrize(
         "content",
@@ -107,18 +132,15 @@ class TestErrors:
             (("edges",), [{"a": "a000001", "b": "a000002", "shared": "phone:2125550100"}]),
             # a components key that is not an int
             (("components", "x"), ["a000001"]),
+            # components that do not partition the nodes: an empty one, a
+            # node in two, a node in none
+            (("components", 0), []),
+            lambda doc: doc["components"]["1"].append(doc["nodes"][0]),
+            lambda doc: doc["nodes"].append("zzz"),
         ],
     )
     def test_corrupt_graph_json_is_one_error_line(self, finished_workdir, caplog, content):
-        path = finished_workdir / "graph.json"
-        if isinstance(content, tuple):
-            (*keys, last), value = content
-            doc = target = json.loads(path.read_text(encoding="utf-8"))
-            for key in keys:
-                target = target[key_at(target, key)]
-            target[key_at(target, last)] = value
-            content = json.dumps(doc)
-        path.write_text(content, encoding="utf-8")
+        self.edit_json(finished_workdir / "graph.json", content)
         caplog.clear()
         assert run(["stats", "--workdir", str(finished_workdir), "--force"]) == 1
         [error] = self.error_lines(caplog)
@@ -132,14 +154,15 @@ class TestErrors:
             '{"x":1}',
             "[]",
             '{"components": {"a": "train"}}',
-            # a side other than train/test, and components other than the graph's
-            '{"components": {"0": "nope"}}',
+            # a side other than train/test on the graph's components, and
+            # components other than the graph's
+            pytest.param((("components", 0), "nope"), id="side-nope"),
             '{"components": {"0": ["train"]}}',
             '{"components": {}}',
         ],
     )
     def test_corrupt_split_json_is_one_error_line(self, finished_workdir, caplog, content):
-        (finished_workdir / "split.json").write_text(content, encoding="utf-8")
+        self.edit_json(finished_workdir / "split.json", content)
         caplog.clear()
         assert run(["label-oad", "--workdir", str(finished_workdir), "--force"]) == 1
         [error] = self.error_lines(caplog)
@@ -229,6 +252,31 @@ class TestErrors:
         [error] = self.error_lines(caplog)
         assert "\n" not in error
         assert "identifiers.jsonl" in error and "'extract'" in error and "--force" in error
+
+    @pytest.mark.parametrize(
+        "artifact, extra",
+        [
+            # a row whose ad is in no cluster
+            ("identifiers", lambda rows: {**rows[0], "ad_id": "zzz"}),
+            ("records", lambda rows: {**rows[0], "ad_id": "zzz"}),
+            # an ad in two clusters, a cluster repeated, and a canonical outside its cluster
+            ("clusters", lambda rows: {**rows[0], "canonical_id": "zzz", "member_ids": ["zzz", rows[0]["canonical_id"]]}),
+            ("clusters", lambda rows: rows[0]),
+            ("clusters", lambda rows: {**rows[0], "canonical_id": "zzz", "member_ids": []}),
+        ],
+        ids=["identifier-unclustered", "record-unclustered", "ad-in-two-clusters", "cluster-repeated",
+             "canonical-outside-its-cluster"],
+    )
+    def test_inconsistent_graph_input_is_one_error_line(self, finished_workdir, caplog, artifact, extra):
+        path = finished_workdir / ARTIFACTS[artifact]
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        path.write_text("".join(json.dumps(row) + "\n" for row in [*rows, extra(rows)]), encoding="utf-8")
+        caplog.clear()
+        assert run(["graph", "--workdir", str(finished_workdir), "--force"]) == 1
+        [error] = self.error_lines(caplog)
+        assert "\n" not in error
+        assert f"artifact {path.name} cannot be read" in error
+        assert f"rerun '{PRODUCER[artifact]}' with --force" in error
 
     @pytest.mark.parametrize("via", [["--component", "99999"], ["--set", "export.component=99999"]])
     def test_missing_export_component_is_one_error_line(self, finished_workdir, caplog, via):

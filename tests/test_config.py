@@ -90,6 +90,10 @@ class TestOverrides:
         cfg = load_config(overrides=["graph.quarantine_cap=25", "stages.compare=false"])
         assert cfg.quarantine_cap == 25
         assert not cfg.stage_enabled("compare")
+        # null where the default is null, and for a variant key, whose null keeps label.*
+        cfg = load_config(overrides=["analysis.variant.distance_threshold_miles=null", "graph.quarantine_cap=null"])
+        assert cfg.quarantine_cap is None
+        assert cfg.labeling(variant=True).distance_threshold_miles == cfg.labeling().distance_threshold_miles
 
     def test_set_raw_string_fallback(self):
         cfg = load_config(overrides=["corpus.format=csv"])
@@ -152,6 +156,19 @@ class TestValidate:
             ("corpus.path=7", "corpus.path"),
             ("corpus.annotations=[1]", "corpus.annotations"),
             ("corpus.annotations={}", "corpus.annotations"),
+            # null only where the default is null, and for the variant keys
+            ("threads=null", "threads"),
+            ("label.split_ratio=null", "label.split_ratio"),
+            ("dedup.bands=null", "dedup.bands"),
+            ("synth.n_ads=null", "synth.n_ads"),
+            ("workdir=null", "workdir"),
+            ("label.include_giant_component=null", "label.include_giant_component"),
+            ("stages.compare=null", "stages.compare"),
+            # the variant keys whose default is null take only their own type
+            ("analysis.variant.phone_count_threshold=abc", "analysis.variant.phone_count_threshold"),
+            ("analysis.variant.phone_count_threshold=true", "analysis.variant.phone_count_threshold"),
+            ("analysis.variant.phone_count_threshold=2.5", "analysis.variant.phone_count_threshold"),
+            ("analysis.variant.rule_combination=xor", "analysis.variant"),
         ],
     )
     def test_bad_values_rejected(self, override, fragment):

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from adgraph import graph as g
 from adgraph.dedup import DuplicateCluster
+from adgraph.errors import PipelineError
 from adgraph.extract import Identifier
 from adgraph.pipeline import FORMATS
 
+from conftest import graph_of
 from oracles import components_ref, export_graphml_ref
 
 
@@ -45,7 +47,7 @@ class TestBuildGraph:
     def test_partition_matches_bfs_reference(self):
         for seed in (1, 2, 3, 4, 5, 6):
             clusters, ids_by_ad = _random_world(seed)
-            built = g.build_graph(clusters, ids_by_ad)
+            built = graph_of(clusters, ids_by_ad)
             got = {frozenset(m) for m in built.components.values()}
             want = components_ref(
                 {c.canonical_id: list(c.member_ids) for c in clusters},
@@ -55,27 +57,27 @@ class TestBuildGraph:
 
     def test_nodes_are_sorted_canonicals(self):
         clusters = [cluster("b1"), cluster("a1", ["a1", "a2"])]
-        built = g.build_graph(clusters, {})
+        built = graph_of(clusters, {})
         assert built.nodes == ["a1", "b1"]
 
     def test_member_identifiers_count_for_canonical(self):
         clusters = [cluster("a1", ["a1", "a2"]), cluster("b1")]
         ids = {"a2": [phone("5551230100")], "b1": [phone("5551230100")]}
-        built = g.build_graph(clusters, ids)
+        built = graph_of(clusters, ids)
         assert built.component_of["a1"] == built.component_of["b1"]
         assert built.node_identifiers["a1"] == ["phone:5551230100"]
 
     def test_star_edges_hub_is_lowest_id(self):
         clusters = [cluster("a"), cluster("b"), cluster("c")]
         ids = {x: [phone("5551230100")] for x in "abc"}
-        built = g.build_graph(clusters, ids)
+        built = graph_of(clusters, ids)
         assert [(e.a, e.b) for e in built.edges] == [("a", "b"), ("a", "c")]
         assert all(e.shared == ["phone:5551230100"] for e in built.edges)
 
     def test_component_ids_ordered_by_min_member(self):
         clusters = [cluster(x) for x in ("a", "b", "c", "d")]
         ids = {"b": [phone("5551230101")], "d": [phone("5551230101")]}
-        built = g.build_graph(clusters, ids)
+        built = graph_of(clusters, ids)
         mins = [min(m) for _, m in sorted(built.components.items())]
         assert mins == sorted(mins)
         assert built.components[0] == ["a"]
@@ -84,13 +86,13 @@ class TestBuildGraph:
     def test_locations_unioned_and_stripped(self):
         clusters = [cluster("a1", ["a1", "a2"])]
         locs = {"a1": [" dallas "], "a2": ["austin", ""]}
-        built = g.build_graph(clusters, {}, locs)
+        built = graph_of(clusters, {}, locs)
         assert built.node_locations["a1"] == ["austin", "dallas"]
 
     def test_quarantine_excludes_busy_identifier(self):
         clusters = [cluster(x) for x in "abcd"]
         ids = {x: [phone("5551230100")] for x in "abcd"}
-        built = g.build_graph(clusters, ids, quarantine_cap=3)
+        built = graph_of(clusters, ids, quarantine_cap=3)
         assert len(built.components) == 4
         assert built.edges == []
         assert built.quarantined == [
@@ -100,17 +102,43 @@ class TestBuildGraph:
     def test_no_quarantine_by_default(self):
         clusters = [cluster(x) for x in "abcd"]
         ids = {x: [phone("5551230100")] for x in "abcd"}
-        built = g.build_graph(clusters, ids)
+        built = graph_of(clusters, ids)
         assert len(built.components) == 1
         assert built.quarantined == []
 
     def test_duplicate_canonical_rejected(self):
         with pytest.raises(ValueError):
-            g.build_graph([cluster("a"), cluster("a")], {})
+            graph_of([cluster("a"), cluster("a")], {})
+
+    @pytest.mark.parametrize(
+        "clusters, ids, locs, artifact",
+        [
+            ([cluster("a"), cluster("a")], {}, {}, "clusters"),
+            ([cluster("a", ["a", "b"]), cluster("c", ["b", "c"])], {}, {}, "clusters"),
+            ([cluster("a", ["b"])], {}, {}, "clusters"),
+            ([cluster("a")], {"b": [phone("5551230100")]}, {}, "identifiers"),
+            ([cluster("a")], {}, {"b": ["dallas"]}, "records"),
+        ],
+        ids=["canonical-repeated", "ad-in-two-clusters", "canonical-outside-its-cluster", "identifier-unclustered", "record-unclustered"],
+    )
+    def test_inconsistent_rows_name_their_input(self, clusters, ids, locs, artifact):
+        with pytest.raises(g.InconsistentInput) as exc:
+            graph_of(clusters, ids, locs)
+        assert exc.value.artifact == artifact
+
+    @pytest.mark.parametrize(
+        "nodes, components",
+        [(["a"], {0: ["a"], 1: []}), (["a", "b"], {0: ["a", "b"], 1: ["b"]}),
+         (["a", "b"], {0: ["a"]}), (["a"], {0: ["a", "b"]}), (["a", "a"], {0: ["a"], 1: ["a"]})],
+        ids=["empty", "node-in-two", "node-in-none", "member-not-a-node", "node-repeated"],
+    )
+    def test_components_must_partition_the_nodes(self, nodes, components):
+        with pytest.raises(PipelineError):
+            g.RelatednessGraph(nodes=nodes, edges=[], components=components)
 
     def test_edges_within_components(self):
         clusters, ids_by_ad = _random_world(9)
-        built = g.build_graph(clusters, ids_by_ad)
+        built = graph_of(clusters, ids_by_ad)
         for e in built.edges:
             assert built.component_of[e.a] == built.component_of[e.b]
             assert e.shared == sorted(e.shared)
@@ -155,7 +183,7 @@ class TestStats:
 class TestSerialization:
     def test_json_round_trip(self, tmp_path):
         clusters, ids_by_ad = _random_world(11)
-        built = g.build_graph(clusters, ids_by_ad, {"c000": ["dallas"]})
+        built = graph_of(clusters, ids_by_ad, {"c000": ["dallas"]})
         path = tmp_path / "graph.json"
         graph_json = FORMATS["graph"]
         graph_json.write(path, built)
@@ -166,7 +194,7 @@ class TestSerialization:
     def test_graphml_reparses_with_attributes(self, tmp_path):
         nx = pytest.importorskip("networkx")
         clusters, ids_by_ad = _random_world(12)
-        built = g.build_graph(clusters, ids_by_ad)
+        built = graph_of(clusters, ids_by_ad)
         path = tmp_path / "graph.graphml"
         g.export_graphml(built, path)
         parsed = nx.read_graphml(path)
@@ -183,7 +211,7 @@ class TestSerialization:
         nx = pytest.importorskip("networkx")
         clusters = [cluster("a"), cluster("b"), cluster("c")]
         ids = {"a": [phone("5551230100")], "b": [phone("5551230100")]}
-        built = g.build_graph(clusters, ids)
+        built = graph_of(clusters, ids)
         path = tmp_path / "part.graphml"
         g.export_graphml(built, path, component=0)
         parsed = nx.read_graphml(path)
@@ -192,7 +220,7 @@ class TestSerialization:
     def test_dot_output(self, tmp_path):
         clusters = [cluster("a"), cluster("b")]
         ids = {"a": [phone("5551230100")], "b": [phone("5551230100")]}
-        built = g.build_graph(clusters, ids)
+        built = graph_of(clusters, ids)
         path = tmp_path / "graph.dot"
         g.export_dot(built, path)
         text = path.read_text()
@@ -202,7 +230,7 @@ class TestSerialization:
         assert '"a" [ad_id="a", component=0];' in text
 
     def test_dot_unknown_component_raises(self, tmp_path):
-        built = g.build_graph([cluster("a")], {})
+        built = graph_of([cluster("a")], {})
         with pytest.raises(ValueError):
             g.export_dot(built, tmp_path / "x.dot", component=9)
 
@@ -224,7 +252,7 @@ def _hostile_graphs(draw):
     keys = draw(st.lists(_XML_HOSTILE, max_size=4))
     pick = st.lists(st.sampled_from(keys), max_size=3) if keys else st.just([])
     ids_by_ad = {ad: [Identifier("phone", k, k) for k in draw(pick)] for ad in ads}
-    built = g.build_graph([cluster(ad) for ad in ads], ids_by_ad)
+    built = graph_of([cluster(ad) for ad in ads], ids_by_ad)
     component = draw(st.none() | st.sampled_from(sorted(built.components))) if built.components else None
     return built, component
 
@@ -256,7 +284,7 @@ class TestGraphmlWriter:
         assert b'<data key="d2" />' in new and b'<data key="d3" />' in new
 
     def test_graph_without_edges(self, tmp_path):
-        built = g.build_graph([cluster("a"), cluster("b")], {})
+        built = graph_of([cluster("a"), cluster("b")], {})
         assert not built.edges
         g.export_graphml(built, tmp_path / "new.graphml")
         export_graphml_ref(built, tmp_path / "ref.graphml")

@@ -9,10 +9,9 @@ from adgraph.dedup import DuplicateCluster, deduplicate
 from adgraph.errors import ConfigError, LabelingError
 from adgraph.extract import Identifier
 from adgraph.geo import Gazetteer
-from adgraph.graph import build_graph
 from adgraph.synth import SynthSpec, generate_corpus
 
-from conftest import record_identifiers
+from conftest import graph_of, record_identifiers
 from oracles import sample_pairs_ref
 
 # frozen oracle distances between bundled gazetteer cities
@@ -39,7 +38,7 @@ def make_graph(components, locations=None, extra_phones=None):
         for _ in range(n):
             ids_by_ad[ad].append(Identifier("phone", f"x{counter}", f"901555{counter:04d}"))
             counter += 1
-    return build_graph(clusters, ids_by_ad, locations or {})
+    return graph_of(clusters, ids_by_ad, locations or {})
 
 
 def random_texts(graph, seed=0, length=40):
@@ -510,7 +509,7 @@ def synth_graph(request):
     normalized = [normalize(r) for r in records]
     ids_by_ad = {r.ad_id: record_identifiers(r, n) for r, n in zip(records, normalized)}
     locations = {r.ad_id: r.locations for r in records}
-    return build_graph(deduplicate(normalized), ids_by_ad, locations)
+    return graph_of(deduplicate(normalized), ids_by_ad, locations)
 
 
 def custom_gazetteer() -> Gazetteer:

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from adgraph.pipeline import ALL_CHAIN
+from adgraph.pipeline import _CHAIN_GC_THRESHOLD, ALL_CHAIN
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,6 +23,9 @@ def test_probe_reports_every_stage_of_the_chain(tmp_path):
     for stage in report["stages"].values():
         assert stage["s"] >= 0 and stage["rss_mb"] > 0
         assert len(stage["collections"]) == 3 and min(stage["collections"]) >= 0
+    # the count a stage of the chain starts at stays under the chain's threshold
+    for name in ALL_CHAIN:
+        assert 0 <= report["stages"][name]["young_at_start"] <= _CHAIN_GC_THRESHOLD[0]
     # collections per generation: the chain's are at least its stages', and
     # under the chain's thresholds none of them is a full collection
     for gen in range(3):

@@ -8,12 +8,11 @@ from adgraph.corpus import ingest, normalize
 from adgraph.dedup import SimilarityConfig, deduplicate, similarities
 from adgraph.errors import ConfigError
 from adgraph.geo import Gazetteer
-from adgraph.graph import build_graph
 from adgraph.label import LabelingConfig, label_htrp
 from adgraph.pipeline import ARTIFACTS, run_stage
 from adgraph.synth import GroundTruth, SynthSpec, generate_corpus
 
-from conftest import record_identifiers
+from conftest import graph_of, record_identifiers
 
 
 SPEC = SynthSpec(n_ads=120, n_components=15, dup_rate=0.5, obfuscation_rate=0.7, seed=3)
@@ -147,7 +146,7 @@ def graph(world):
         for r, n in zip(records, normalized)
     }
     locations = {r.ad_id: r.locations for r in records}
-    return build_graph(clusters, ids_by_ad, locations)
+    return graph_of(clusters, ids_by_ad, locations)
 
 
 class TestPlantedComponents:

@@ -6,12 +6,14 @@ Run from the root of a checkout. The `synth` stage writes n ads into DIR
 (seed --seed, n_components = n / 12.5, the other synth settings at their
 defaults), and then `pipeline.run_all` runs the chain with force=True, as
 `adgraph all --force` does. The last line of stdout is one JSON object:
-each stage's wall seconds, the process's resident set right after it and
+each stage's wall seconds, the process's resident set right after it,
 the collections the cyclic collector ran in it per generation (young,
-middle, full); the chain's total seconds and collections; and the
-process's peak RSS (`ru_maxrss`, which covers synth too). Artifacts stay
-in DIR. Resident sets are read from /proc/self/statm, so on a system
-without it they are null.
+middle, full) and the young generation's count when it started (a young
+collection runs once that count of net allocations passes the chain's
+threshold, `pipeline._CHAIN_GC_THRESHOLD[0]`); the chain's total seconds
+and collections; and the process's peak RSS (`ru_maxrss`, which covers
+synth too). Artifacts stay in DIR. Resident sets are read from
+/proc/self/statm, so on a system without it they are null.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ def probe(n_ads: int, workdir: str, seed: int = 0, threads: int = 1) -> dict:
     run_stage = pipeline.run_stage
 
     def timed(name, *args, **kwargs):
+        young = gc.get_count()[0]
         before = collections()
         start = time.perf_counter()
         result = run_stage(name, *args, **kwargs)
@@ -72,6 +75,7 @@ def probe(n_ads: int, workdir: str, seed: int = 0, threads: int = 1) -> dict:
             "s": round(time.perf_counter() - start, 3),
             "rss_mb": rss_mb(),
             "collections": since(before),
+            "young_at_start": young,
         }
         return result
 
