@@ -19,19 +19,33 @@ import time
 
 from . import __version__
 from .analysis import render_report
-from .config import load_config
+from .config import SETTINGS, load_config
 from .errors import AdgraphError
-from .pipeline import ARTIFACTS, run_all, run_stage
+from .pipeline import ARTIFACTS, STAGES, run_all, run_stage
 
 log = logging.getLogger("adgraph")
+
+
+def _settings(*flags: tuple[str, str, str | None, str | None], parser=None) -> argparse.ArgumentParser:
+    """parser, or a new parent parser, with a flag for each (flag, key, metavar, help)
+    that sets that config key to a value of the type and choices SETTINGS declares."""
+    parser = parser or argparse.ArgumentParser(add_help=False)
+    for flag, key, metavar, help in flags:
+        want = SETTINGS[key]
+        choices = want.choices or None
+        parser.add_argument(flag, dest=key, type=want.type, choices=choices, metavar=metavar, help=help)
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--workdir", metavar="DIR", help="artifact directory (default: out)")
-    common.add_argument("--seed", type=int, metavar="N", help="global random seed")
-    common.add_argument("--threads", type=int, metavar="N", help="worker processes for identifier extraction")
+    _settings(
+        ("--workdir", "workdir", "DIR", "artifact directory (default: out)"),
+        ("--seed", "seed", "N", "global random seed"),
+        ("--threads", "threads", "N", "worker processes for identifier extraction"),
+        parser=common,
+    )
     common.add_argument(
         "--force", action="store_true", help="run even when inputs fail manifest checks"
     )
@@ -45,19 +59,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--quiet", action="store_true", help="only log warnings and errors")
 
-    corpus_flags = argparse.ArgumentParser(add_help=False)
-    corpus_flags.add_argument("--corpus", metavar="PATH", help="input corpus file")
-    corpus_flags.add_argument(
-        "--format", choices=("jsonl", "csv"), dest="corpus_format", help="corpus format"
+    corpus = _settings(
+        ("--corpus", "corpus.path", "PATH", "input corpus file"),
+        ("--format", "corpus.format", None, "corpus format"),
     )
-    ann_flag = argparse.ArgumentParser(add_help=False)
-    ann_flag.add_argument(
-        "--annotations", metavar="PATH", help="identifier span annotations (jsonl)"
+    annotations = _settings(
+        ("--annotations", "corpus.annotations", "PATH", "identifier span annotations (jsonl)")
     )
-    gaz_flag = argparse.ArgumentParser(add_help=False)
-    gaz_flag.add_argument(
-        "--gazetteer", metavar="PATH", help="location gazetteer csv (default: bundled)"
+    gazetteer = _settings(("--gazetteer", "gazetteer", "PATH", "location gazetteer csv (default: bundled)"))
+    export = _settings(
+        ("--export-format", "export.format", None, "which formats to write (default: both)"),
+        ("--component", "export.component", "N", "restrict export to one component"),
     )
+    synth = _settings(
+        ("--n-ads", "synth.n_ads", "N", None),
+        ("--dup-rate", "synth.dup_rate", "F", None),
+        ("--n-components", "synth.n_components", "N", None),
+        ("--size-distribution", "synth.component_size_distribution", None, None),
+        ("--obfuscation-rate", "synth.obfuscation_rate", "F", None),
+    )
+    # the flags a subcommand takes beyond the common ones
+    extra = {
+        "ingest": [corpus],
+        "extract": [annotations],
+        "label-htrp": [gazetteer],
+        "export": [export],
+        "synth": [synth],
+        "all": [corpus, annotations, gazetteer],
+    }
 
     parser = argparse.ArgumentParser(
         prog="adgraph",
@@ -65,76 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    sub.add_parser(
-        "ingest",
-        parents=[common, corpus_flags],
-        help="parse, validate, and normalize the corpus",
-    )
-    sub.add_parser("dedup", parents=[common], help="cluster exact and near duplicates")
-    sub.add_parser(
-        "extract",
-        parents=[common, ann_flag],
-        help="extract phones, emails, handles, and urls",
-    )
-    sub.add_parser("graph", parents=[common], help="build the relatedness graph")
-    sub.add_parser("stats", parents=[common], help="component size distribution csv")
-    sub.add_parser("split", parents=[common], help="component-level train/test split")
-    sub.add_parser("label-oad", parents=[common], help="balanced labeled ad pairs")
-    sub.add_parser(
-        "label-htrp", parents=[common, gaz_flag], help="per-ad risk labels from rules"
-    )
-    sub.add_parser(
-        "compare",
-        parents=[common],
-        help="relabel under variant thresholds and test rate shifts",
-    )
-    p_export = sub.add_parser(
-        "export", parents=[common], help="write graphml/dot views of the graph"
-    )
-    p_export.add_argument(
-        "--export-format",
-        choices=("graphml", "dot", "both"),
-        dest="export_format",
-        help="which formats to write (default: both)",
-    )
-    p_export.add_argument(
-        "--component", type=int, metavar="N", help="restrict export to one component"
-    )
-    p_synth = sub.add_parser(
-        "synth", parents=[common], help="generate a synthetic corpus with ground truth"
-    )
-    p_synth.add_argument("--n-ads", type=int, metavar="N")
-    p_synth.add_argument("--dup-rate", type=float, metavar="F")
-    p_synth.add_argument("--n-components", type=int, metavar="N")
-    p_synth.add_argument(
-        "--size-distribution", choices=("heavy_tailed", "uniform", "singletons")
-    )
-    p_synth.add_argument("--obfuscation-rate", type=float, metavar="F")
-    sub.add_parser(
-        "all",
-        parents=[common, corpus_flags, ann_flag, gaz_flag],
-        help="run the full chain from ingest to export",
-    )
+    helps = {name: stage.help for name, stage in STAGES.items()}
+    helps["all"] = "run the full chain from ingest to export"
+    for name, help in helps.items():
+        sub.add_parser(name, parents=[common, *extra.get(name, ())], help=help)
     return parser
-
-
-_FLAG_KEYS = (
-    ("workdir", "workdir"),
-    ("seed", "seed"),
-    ("threads", "threads"),
-    ("corpus", "corpus.path"),
-    ("corpus_format", "corpus.format"),
-    ("annotations", "corpus.annotations"),
-    ("gazetteer", "gazetteer"),
-    ("export_format", "export.format"),
-    ("component", "export.component"),
-    ("n_ads", "synth.n_ads"),
-    ("dup_rate", "synth.dup_rate"),
-    ("n_components", "synth.n_components"),
-    ("size_distribution", "synth.component_size_distribution"),
-    ("obfuscation_rate", "synth.obfuscation_rate"),
-)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -162,20 +126,15 @@ def _main(argv: list[str] | None) -> int:
         format="[%(levelname)s] %(message)s",
     )
 
-    cli_values = {}
-    for attr, dotted in _FLAG_KEYS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            cli_values[dotted] = value
+    # each setting flag's dest is its config key
+    cli_values = {key: value for key, value in vars(args).items() if key in SETTINGS}
 
     try:
         cfg = load_config(args.config, args.overrides, cli_values)
         start = time.perf_counter()
         if args.command == "all":
             results = run_all(cfg, force=args.force)
-            log.info(
-                "all: %d stages in %.2fs", len(results), time.perf_counter() - start
-            )
+            log.info("all: %d stages in %.2fs", len(results), time.perf_counter() - start)
         else:
             results = [run_stage(args.command, cfg, force=args.force)]
     except AdgraphError as e:

@@ -1,7 +1,8 @@
 """Pipeline configuration: defaults, JSON file, dotted overrides.
 
-One global seed feeds every seeded stage. Validation errors name the
-offending key with its dotted path.
+One global seed feeds every seeded stage. SETTINGS declares what each
+leaf key takes, and a value it refuses is refused when the config is
+loaded, by an error that names the key with its dotted path.
 """
 
 from __future__ import annotations
@@ -13,11 +14,14 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from .corpus import FILE_FORMATS
 from .dedup import SimilarityConfig
 from .errors import ConfigError
-from .geo import Gazetteer
-from .label import LabelingConfig
-from .synth import SynthSpec
+from .label import FEATURE_SCOPES, RULE_COMBINATIONS, LabelingConfig
+from .synth import SIZE_DISTRIBUTIONS, SynthSpec
+
+STRATA = ("location", "source")
+EXPORT_FORMATS = ("graphml", "dot", "both")
 
 
 def _field_defaults(cls: type) -> dict:
@@ -48,6 +52,55 @@ DEFAULTS: dict = {
     "stages": {"compare": True, "export": True},
 }
 
+
+@dataclass(frozen=True)
+class Setting:
+    """What a leaf key takes: a value of `type`, or null if `nullable`;
+    only one of `choices` if any are given, and nothing below `least`.
+    No key takes an empty string, which as a path names the current directory."""
+
+    type: type
+    nullable: bool = False
+    choices: tuple = ()
+    least: int | None = None
+
+
+# every leaf key that takes more or less than a value of its default's type
+_DECLARED = {
+    "seed": Setting(int, least=0),
+    "threads": Setting(int, least=1),
+    "corpus.path": Setting(str, nullable=True),
+    "corpus.format": Setting(str, choices=FILE_FORMATS),
+    "corpus.annotations": Setting(str, nullable=True),
+    "gazetteer": Setting(str, nullable=True),
+    "graph.quarantine_cap": Setting(int, nullable=True, least=2),
+    "label.rule_combination": Setting(str, choices=RULE_COMBINATIONS),
+    "label.feature_scope": Setting(str, choices=FEATURE_SCOPES),
+    "analysis.strata": Setting(str, choices=STRATA),
+    "analysis.variant.distance_threshold_miles": Setting(float, nullable=True),
+    "analysis.variant.phone_count_threshold": Setting(int, nullable=True),
+    "analysis.variant.rule_combination": Setting(str, nullable=True, choices=RULE_COMBINATIONS),
+    "synth.component_size_distribution": Setting(str, choices=SIZE_DISTRIBUTIONS),
+    "export.format": Setting(str, choices=EXPORT_FORMATS),
+    "export.component": Setting(int, nullable=True),
+}
+
+
+def _leaves(cfg_dict: dict, path: str = "") -> Iterable[tuple[str, Any]]:
+    for key, value in cfg_dict.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _leaves(value, here)
+        else:
+            yield here, value
+
+
+# each leaf key of DEFAULTS, by its dotted path
+SETTINGS: dict[str, Setting] = {
+    dotted: _DECLARED.get(dotted) or Setting(type(default)) for dotted, default in _leaves(DEFAULTS)
+}
+
+
 def _merge(base: dict, incoming: dict, path: str = "") -> None:
     for key, value in incoming.items():
         here = f"{path}.{key}" if path else key
@@ -63,21 +116,22 @@ def _merge(base: dict, incoming: dict, path: str = "") -> None:
 
 
 def _checked(dotted: str, value: Any) -> Any:
-    """value for a leaf key, if it has the key's type: its default's, or
-    its _NULLABLE entry's. Null is taken only where the default is null
-    and by the variant keys, whose null keeps the label.* value."""
-    default = _lookup(DEFAULTS, dotted)
+    """value for a leaf key, if the key's Setting takes it."""
+    want = SETTINGS[dotted]
     if value is None:
-        if default is None or dotted.startswith("analysis.variant."):
+        if want.nullable:
             return None
         raise ConfigError(f"{dotted}: must not be null")
-    want = _NULLABLE.get(dotted, type(default))
-    if want is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if want is bool and not isinstance(value, bool):
-        raise ConfigError(f"{dotted}: expected a boolean")
-    if not isinstance(value, want) or (want is int and isinstance(value, bool)):
-        raise ConfigError(f"{dotted}: expected {want.__name__}" + (" or null" if default is None else ""))
+    if want.type is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, want.type) or (want.type is int and isinstance(value, bool)):
+        raise ConfigError(f"{dotted}: expected {want.type.__name__}" + (" or null" if want.nullable else ""))
+    if want.choices and value not in want.choices:
+        raise ConfigError(f"{dotted}: expected one of {', '.join(want.choices)}")
+    if want.least is not None and value < want.least:
+        raise ConfigError(f"{dotted}: must be >= {want.least}")
+    if value == "":
+        raise ConfigError(f"{dotted}: must not be empty")
     return value
 
 
@@ -105,18 +159,6 @@ def _lookup(cfg_dict: dict, dotted: str) -> Any:
     return cfg_dict
 
 
-# the type of each key whose default is null
-_NULLABLE = {
-    "corpus.path": str,
-    "corpus.annotations": str,
-    "gazetteer": str,
-    "graph.quarantine_cap": int,
-    "analysis.variant.phone_count_threshold": int,
-    "analysis.variant.rule_combination": str,
-    "export.component": int,
-}
-
-
 def config_hash(cfg_dict: dict, keys: Iterable[str]) -> str:
     """Content hash over the values of the given dotted keys.
 
@@ -132,56 +174,19 @@ def config_hash(cfg_dict: dict, keys: Iterable[str]) -> str:
 class PipelineConfig:
     raw: dict = field(default_factory=lambda: copy.deepcopy(DEFAULTS))
 
-    @property
-    def seed(self) -> int:
-        return self.raw["seed"]
+    def __getitem__(self, dotted: str) -> Any:
+        """The value of a dotted key, e.g. cfg["corpus.path"]."""
+        return _lookup(self.raw, dotted)
 
     @property
     def workdir(self) -> Path:
         return Path(self.raw["workdir"])
 
-    @property
-    def threads(self) -> int:
-        return self.raw["threads"]
-
-    @property
-    def corpus_path(self) -> Path | None:
-        p = self.raw["corpus"]["path"]
-        return Path(p) if p else None
-
-    @property
-    def corpus_format(self) -> str:
-        return self.raw["corpus"]["format"]
-
-    @property
-    def annotations_path(self) -> Path | None:
-        p = self.raw["corpus"]["annotations"]
-        return Path(p) if p else None
-
-    @property
-    def quarantine_cap(self) -> int | None:
-        return self.raw["graph"]["quarantine_cap"]
-
-    @property
-    def strata_key(self) -> str:
-        return self.raw["analysis"]["strata"]
-
-    @property
-    def export_format(self) -> str:
-        return self.raw["export"]["format"]
-
-    @property
-    def export_component(self) -> int | None:
-        return self.raw["export"]["component"]
-
-    def stage_enabled(self, name: str) -> bool:
-        return bool(self.raw["stages"].get(name, True))
-
     def _section(self, cls: type, section: str, changes: dict | None = None, name: str | None = None):
         """cls built from the seed, one config section and changes to it;
         its ConfigError names `name`, or else the section."""
         try:
-            return cls(seed=self.seed, **{**self.raw[section], **(changes or {})})
+            return cls(seed=self.raw["seed"], **{**self.raw[section], **(changes or {})})
         except ConfigError as e:
             raise ConfigError(f"{name or section}: {e}") from None
 
@@ -198,22 +203,8 @@ class PipelineConfig:
     def synth_spec(self) -> SynthSpec:
         return self._section(SynthSpec, "synth")
 
-    def gazetteer(self) -> Gazetteer:
-        p = self.raw["gazetteer"]
-        return Gazetteer.load(p) if p else Gazetteer.bundled()
-
     def validate(self) -> None:
-        if self.threads < 1:
-            raise ConfigError("threads: must be >= 1")
-        if self.corpus_format not in ("jsonl", "csv"):
-            raise ConfigError("corpus.format: must be jsonl or csv")
-        cap = self.quarantine_cap
-        if cap is not None and cap < 2:
-            raise ConfigError("graph.quarantine_cap: must be >= 2 or null")
-        if self.strata_key not in ("location", "source"):
-            raise ConfigError("analysis.strata: must be location or source")
-        if self.export_format not in ("graphml", "dot", "both"):
-            raise ConfigError("export.format: must be graphml, dot, or both")
+        """Check each section's values together, as its dataclass takes them."""
         self.similarity()
         self.labeling()
         self.labeling(variant=True)

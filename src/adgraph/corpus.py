@@ -27,6 +27,7 @@ from typing import IO, Callable, Iterable, Iterator, Literal, get_args, get_orig
 from .emoji import count_emoji
 from .errors import EmptyCorpusError, IngestError, PipelineError
 
+FILE_FORMATS = ("jsonl", "csv")  # what a corpus file may be written in
 CSV_COLUMNS = ("ad_id", "title", "description", "posted_at", "locations", "declared_phone", "source")
 
 # casefold+NFC can expose new foldable/composable text; bounded, not while-True,
@@ -237,7 +238,7 @@ def ingest(path: str | Path, fmt: str = "jsonl") -> tuple[list[AdRecord], list[R
     header) and EmptyCorpusError when no record survives validation.
     """
     path = Path(path)
-    if fmt not in ("jsonl", "csv"):
+    if fmt not in FILE_FORMATS:
         raise IngestError(f"unsupported corpus format {fmt!r}")
     if not path.exists():
         raise IngestError(f"corpus file not found: {path}")

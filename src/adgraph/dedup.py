@@ -15,7 +15,7 @@ from datetime import datetime
 from typing import Mapping, Sequence
 
 from .corpus import NormalizedAd
-from .errors import ConfigError
+from .errors import ConfigError, InconsistentInput
 from .unionfind import UnionFind
 
 
@@ -84,7 +84,7 @@ def deduplicate(
     groups: dict[str, list[str]] = {}
     for ad in ads:
         if ad.ad_id in seen:
-            raise ValueError(f"duplicate ad_id {ad.ad_id!r} in dedup input")
+            raise InconsistentInput("normalized", f"duplicate ad_id {ad.ad_id!r} in dedup input")
         seen.add(ad.ad_id)
         groups.setdefault(ad.norm_text, []).append(ad.ad_id)
     del seen  # freed before the filters' arrays are made

@@ -21,6 +21,15 @@ class PipelineError(AdgraphError):
     """A stage cannot run: missing or stale upstream artifacts."""
 
 
+class InconsistentInput(ValueError):
+    """A row of one input that contradicts the others; `artifact` names
+    that input, such as "normalized" or "clusters"."""
+
+    def __init__(self, artifact: str, reason: str):
+        super().__init__(reason)
+        self.artifact = artifact
+
+
 class LabelingError(AdgraphError):
     """Labeling preconditions are not met (e.g. too few components)."""
 

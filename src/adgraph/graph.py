@@ -21,7 +21,7 @@ from typing import Iterable, Literal
 
 from .corpus import AdRecord, atomic_open
 from .dedup import DuplicateCluster
-from .errors import PipelineError
+from .errors import InconsistentInput, PipelineError
 from .extract import AdIdentifier
 from .unionfind import UnionFind
 
@@ -85,15 +85,6 @@ def size_bucket(size: int) -> str:
     if size <= 1000:
         return "100-1000"
     return "1000+"
-
-
-class InconsistentInput(ValueError):
-    """A row of one input that contradicts the others; `artifact` names
-    that input: "clusters", "identifiers" or "records"."""
-
-    def __init__(self, artifact: str, reason: str):
-        super().__init__(reason)
-        self.artifact = artifact
 
 
 def build_graph(

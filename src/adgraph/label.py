@@ -31,6 +31,10 @@ _ENUMERATE_LIMIT = 200_000
 RULE_DISTANCE = "distance"
 RULE_PHONES = "phones"
 
+# how the two HTRP rules combine, and what a feature pools over
+RULE_COMBINATIONS = ("or", "and")
+FEATURE_SCOPES = ("component", "ad")
+
 
 @dataclass(frozen=True)
 class LabelingConfig:
@@ -51,14 +55,14 @@ class LabelingConfig:
             raise ConfigError("distance_threshold_miles must be positive")
         if self.phone_count_threshold <= 0:
             raise ConfigError("phone_count_threshold must be positive")
-        if self.rule_combination not in ("or", "and"):
-            raise ConfigError("rule_combination must be 'or' or 'and'")
+        if self.rule_combination not in RULE_COMBINATIONS:
+            raise ConfigError(f"rule_combination must be one of {', '.join(RULE_COMBINATIONS)}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must be in (0, 1)")
         if self.pairs_per_class < 1:
             raise ConfigError("pairs_per_class must be >= 1")
-        if self.feature_scope not in ("component", "ad"):
-            raise ConfigError("feature_scope must be 'component' or 'ad'")
+        if self.feature_scope not in FEATURE_SCOPES:
+            raise ConfigError(f"feature_scope must be one of {', '.join(FEATURE_SCOPES)}")
 
 
 @dataclass

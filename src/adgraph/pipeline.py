@@ -15,9 +15,9 @@ artifact and manifest is a dataclass written by corpus.to_row and parsed
 by corpus.from_row, which checks each value against its field's type
 hint to any depth; a reader in the same context gets the object that the
 writer encoded. An input that cannot be used, unreadable or at odds with
-the stage's other inputs (an ad_id repeated in dedup's input, a row of
-graph's that contradicts the clusters), stops the stage with one error
-naming the file and the stage that writes it.
+the stage's other inputs (normalized rows that are not the records' ads
+in their order, a row of graph's that contradicts the clusters), stops
+the stage with one error naming the file and the stage that writes it.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ from . import __version__, corpus, dedup, extract, synth
 from .analysis import compare_label_variants
 from .config import PipelineConfig, config_hash
 from .corpus import from_row, to_row
-from .errors import ConfigError, PipelineError
-from .graph import InconsistentInput, RelatednessGraph, build_graph, component_stats, export_dot, export_graphml, stats_to_csv
+from .errors import ConfigError, InconsistentInput, PipelineError
+from .geo import Gazetteer
+from .graph import RelatednessGraph, build_graph, component_stats, export_dot, export_graphml, stats_to_csv
 from .label import LabeledAd, Split, generate_oad_pairs, label_htrp, relabel, split_components, split_report
 
 log = logging.getLogger("adgraph")
@@ -195,8 +196,8 @@ class StageContext:
 
 
 def _resolve_corpus(cfg: PipelineConfig) -> Path:
-    if cfg.corpus_path is not None:
-        return cfg.corpus_path
+    if cfg["corpus.path"] is not None:
+        return Path(cfg["corpus.path"])
     fallback = cfg.workdir / ARTIFACTS["synth_corpus"]
     if fallback.exists():
         log.info("corpus.path not set, using %s", fallback)
@@ -218,7 +219,7 @@ def _run_synth(ctx: StageContext) -> None:
 
 def _run_ingest(ctx: StageContext) -> None:
     path = _resolve_corpus(ctx.cfg)
-    records, rejects = corpus.ingest(path, ctx.cfg.corpus_format)
+    records, rejects = corpus.ingest(path, ctx.cfg["corpus.format"])
     # in-process at any thread count: pickling each record to a worker
     # costs more than normalizing it. Each distinct text is normalized
     # once; its reposts share the normalized string
@@ -239,42 +240,50 @@ def _run_ingest(ctx: StageContext) -> None:
     log.info("ingested %d records, rejected %d", len(records), len(rejects))
 
 
+def _ingested(ctx: StageContext) -> tuple[list[corpus.AdRecord], list[corpus.NormalizedAd]]:
+    """records.jsonl and normalized.jsonl, which list the same ads in the
+    same order, as ingest writes them."""
+    records, normalized = ctx.read("records"), ctx.read("normalized")
+    if len(records) != len(normalized) or any(r.ad_id != n.ad_id for r, n in zip(records, normalized)):
+        raise ctx.unreadable("normalized", "its ads are not those of records.jsonl, in the same order")
+    return records, normalized
+
+
 def _run_dedup(ctx: StageContext) -> None:
-    posted = {r.ad_id: r.posted_at for r in ctx.read("records")}
-    normalized, cfg = ctx.read("normalized"), ctx.cfg.similarity()
+    records, normalized = _ingested(ctx)
+    posted = {r.ad_id: r.posted_at for r in records}
     try:
-        clusters = dedup.deduplicate(normalized, cfg, posted)
-    except ValueError as exc:  # an ad_id repeated
-        raise ctx.unreadable("normalized", exc) from exc
+        clusters = dedup.deduplicate(normalized, ctx.cfg.similarity(), posted)
+    except InconsistentInput as exc:  # an ad_id repeated
+        raise ctx.unreadable(exc.artifact, exc) from exc
     ctx.write("clusters", clusters)
     near = sum(1 for c in clusters if c.method == "near")
     log.info("%d clusters (%d near-duplicate)", len(clusters), near)
 
 
 def _run_extract(ctx: StageContext) -> None:
-    records = ctx.read("records")
-    norm_text = {n.ad_id: n.norm_text for n in ctx.read("normalized")}
+    records, normalized = _ingested(ctx)
     # a key is extract_identifiers' arguments, so reposts share one call
     # and one (never mutated) identifier list
     keys = [
-        (r.declared_phone, corpus.build_original_text(r.title, r.description), norm_text[r.ad_id])
-        for r in records
+        (r.declared_phone, corpus.build_original_text(r.title, r.description), n.norm_text)
+        for r, n in zip(records, normalized)
     ]
     distinct = list(dict.fromkeys(keys))
-    found = dict(zip(distinct, _pmap(extract.extract_identifiers, distinct, ctx.cfg.threads)))
+    found = dict(zip(distinct, _pmap(extract.extract_identifiers, distinct, ctx.cfg["threads"])))
     ids_by_ad = {r.ad_id: found[key] for r, key in zip(records, keys)}
 
     ann_rejects: list = []
-    if ctx.cfg.annotations_path is not None:
+    if ctx.cfg["corpus.annotations"] is not None:
         annotated, ann_rejects = extract.import_annotations(
-            ctx.cfg.annotations_path, {r.ad_id: key[1] for r, key in zip(records, keys)}
+            ctx.cfg["corpus.annotations"], {r.ad_id: key[1] for r, key in zip(records, keys)}
         )
         for ad_id, idents in annotated.items():
             ids_by_ad[ad_id] = extract.merge_identifiers(
                 ids_by_ad.get(ad_id, []), idents
             )
 
-    del keys, distinct, found, norm_text  # so that the rows can take the texts' memory
+    del keys, distinct, found  # so that the rows can take the texts' memory
     rows = [extract.AdIdentifier(ad_id, i.kind, i.raw, i.canonical, i.start, i.end)
             for ad_id in sorted(ids_by_ad) for i in ids_by_ad[ad_id]]
     ctx.write("identifiers", rows)
@@ -285,7 +294,7 @@ def _run_extract(ctx: StageContext) -> None:
 def _run_graph(ctx: StageContext) -> None:
     clusters, identifiers, records = ctx.read("clusters"), ctx.read("identifiers"), ctx.read("records")
     try:
-        graph = build_graph(clusters, identifiers, records, ctx.cfg.quarantine_cap)
+        graph = build_graph(clusters, identifiers, records, ctx.cfg["graph.quarantine_cap"])
     except InconsistentInput as exc:
         raise ctx.unreadable(exc.artifact, exc) from exc
     ctx.write("graph", graph)
@@ -323,16 +332,17 @@ def _run_label_oad(ctx: StageContext) -> None:
 
 
 def _run_label_htrp(ctx: StageContext) -> None:
-    labels = label_htrp(ctx.read("graph"), ctx.cfg.gazetteer(), ctx.cfg.labeling())
+    path = ctx.cfg["gazetteer"]
+    gazetteer = Gazetteer.bundled() if path is None else Gazetteer.load(path)
+    labels = label_htrp(ctx.read("graph"), gazetteer, ctx.cfg.labeling())
     ctx.write("htrp_labels", labels)
     pos = sum(a.label for a in labels)
     log.info("%d ads labeled, %d positive", len(labels), pos)
 
 
 def _strata_map(ctx: StageContext, graph: RelatednessGraph) -> dict[str, str]:
-    key = ctx.cfg.strata_key
     out: dict[str, str] = {}
-    if key == "location":
+    if ctx.cfg["analysis.strata"] == "location":
         for node in graph.nodes:
             locs = sorted(
                 {s.strip().casefold() for s in graph.node_locations.get(node, []) if s.strip()}
@@ -357,7 +367,7 @@ def _run_compare(ctx: StageContext) -> None:
 
 def _run_export(ctx: StageContext) -> None:
     graph = ctx.read("graph")
-    comp = ctx.cfg.export_component
+    comp = ctx.cfg["export.component"]
     if comp is not None and comp not in graph.components:
         raise ConfigError(
             f"export.component: no component {comp} in graph.json, "
@@ -368,7 +378,7 @@ def _run_export(ctx: StageContext) -> None:
 
 
 def _export_outputs(cfg: PipelineConfig) -> tuple[str, ...]:
-    fmt = cfg.export_format
+    fmt = cfg["export.format"]
     if fmt == "both":
         return ("graphml", "dot")
     return ("graphml",) if fmt == "graphml" else ("dot",)
@@ -383,6 +393,7 @@ class StageDef:
     # dotted config keys (a leaf or a whole section) the stage reads; file
     # locations enter only as content hashes, through _external_inputs
     config: tuple[str, ...]
+    help: str  # one line, for the stage's subcommand
 
     def config_hash(self, cfg: PipelineConfig) -> str:
         return config_hash(cfg.raw, self.config)
@@ -405,67 +416,53 @@ STAGES: dict[str, StageDef] = {
     s.name: s
     for s in (
         StageDef(
-            "synth", (), ("synth_corpus", "ground_truth"), _run_synth, config=("seed", "synth")
+            "synth", (), ("synth_corpus", "ground_truth"), _run_synth,
+            config=("seed", "synth"), help="generate a synthetic corpus with ground truth",
         ),
         StageDef(
-            "ingest",
-            (),
-            ("records", "normalized", "rejects"),
-            _run_ingest,
-            config=("corpus.format",),
+            "ingest", (), ("records", "normalized", "rejects"), _run_ingest,
+            config=("corpus.format",), help="parse, validate, and normalize the corpus",
         ),
         StageDef(
-            "dedup", ("records", "normalized"), ("clusters",), _run_dedup, config=("seed", "dedup")
+            "dedup", ("records", "normalized"), ("clusters",), _run_dedup,
+            config=("seed", "dedup"), help="cluster exact and near duplicates",
         ),
         StageDef(
-            "extract",
-            ("records", "normalized"),
-            ("identifiers", "annotation_rejects"),
-            _run_extract,
-            config=(),
+            "extract", ("records", "normalized"), ("identifiers", "annotation_rejects"), _run_extract,
+            config=(), help="extract phones, emails, handles, and urls",
         ),
         StageDef(
-            "graph",
-            ("clusters", "identifiers", "records"),
-            ("graph",),
-            _run_graph,
-            config=("graph",),
-        ),
-        StageDef("stats", ("graph",), ("stats",), _run_stats, config=()),
-        StageDef(
-            "split",
-            ("graph",),
-            ("split", "split_report"),
-            _run_split,
-            config=("seed", "label.split_ratio"),
+            "graph", ("clusters", "identifiers", "records"), ("graph",), _run_graph,
+            config=("graph",), help="build the relatedness graph",
         ),
         StageDef(
-            "label-oad",
-            ("graph", "split", "normalized"),
-            ("oad_pairs",),
-            _run_label_oad,
+            "stats", ("graph",), ("stats",), _run_stats,
+            config=(), help="component size distribution csv",
+        ),
+        StageDef(
+            "split", ("graph",), ("split", "split_report"), _run_split,
+            config=("seed", "label.split_ratio"), help="component-level train/test split",
+        ),
+        StageDef(
+            "label-oad", ("graph", "split", "normalized"), ("oad_pairs",), _run_label_oad,
+            help="balanced labeled ad pairs",
             config=(
-                "seed",
-                "label.pair_sim_threshold",
-                "label.pairs_per_class",
-                "label.include_giant_component",
+                "seed", "label.pair_sim_threshold", "label.pairs_per_class", "label.include_giant_component"
             ),
         ),
         StageDef(
-            "label-htrp",
-            ("graph",),
-            ("htrp_labels",),
-            _run_label_htrp,
-            config=(*_RULE_KEYS, "label.feature_scope"),
+            "label-htrp", ("graph",), ("htrp_labels",), _run_label_htrp,
+            config=(*_RULE_KEYS, "label.feature_scope"), help="per-ad risk labels from rules",
         ),
         StageDef(
-            "compare",
-            ("graph", "htrp_labels", "records"),
-            ("htrp_variant_labels", "compare_report"),
-            _run_compare,
-            config=(*_RULE_KEYS, "analysis"),
+            "compare", ("graph", "htrp_labels", "records"), ("htrp_variant_labels", "compare_report"),
+            _run_compare, config=(*_RULE_KEYS, "analysis"),
+            help="relabel under variant thresholds and test rate shifts",
         ),
-        StageDef("export", ("graph",), ("graphml", "dot"), _run_export, config=("export",)),
+        StageDef(
+            "export", ("graph",), ("graphml", "dot"), _run_export,
+            config=("export",), help="write graphml/dot views of the graph",
+        ),
     )
 }
 
@@ -504,10 +501,10 @@ def _external_inputs(name: str, cfg: PipelineConfig) -> dict[str, Path]:
     out: dict[str, Path] = {}
     if name == "ingest":
         out["corpus"] = _resolve_corpus(cfg)
-    if name == "extract" and cfg.annotations_path is not None:
-        out["annotations"] = cfg.annotations_path
-    if name == "label-htrp" and cfg.raw["gazetteer"]:
-        out["gazetteer"] = Path(cfg.raw["gazetteer"])
+    if name == "extract" and cfg["corpus.annotations"] is not None:
+        out["annotations"] = Path(cfg["corpus.annotations"])
+    if name == "label-htrp" and cfg["gazetteer"] is not None:
+        out["gazetteer"] = Path(cfg["gazetteer"])
     return out
 
 
@@ -625,7 +622,7 @@ def run_all(cfg: PipelineConfig, force: bool = False) -> list[dict]:
     ctx = StageContext(cfg, force=force)
     results = []
     for i, name in enumerate(ALL_CHAIN):
-        if name in ("compare", "export") and not cfg.stage_enabled(name):
+        if name in ("compare", "export") and not cfg[f"stages.{name}"]:
             # an earlier run's outputs would outlive the graph they describe
             for art in STAGES[name].outputs:
                 (cfg.workdir / ARTIFACTS[art]).unlink(missing_ok=True)

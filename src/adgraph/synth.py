@@ -61,6 +61,8 @@ _NEAR_MILES = 260.0
 
 _BASE_TIME = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
+SIZE_DISTRIBUTIONS = ("heavy_tailed", "uniform", "singletons")
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -80,10 +82,8 @@ class SynthSpec:
             raise ConfigError("dup_rate must be in [0, 1]")
         if not 0.0 <= self.obfuscation_rate <= 1.0:
             raise ConfigError("obfuscation_rate must be in [0, 1]")
-        if self.component_size_distribution not in ("heavy_tailed", "uniform", "singletons"):
-            raise ConfigError(
-                "component_size_distribution must be heavy_tailed, uniform, or singletons"
-            )
+        if self.component_size_distribution not in SIZE_DISTRIBUTIONS:
+            raise ConfigError(f"component_size_distribution must be one of {', '.join(SIZE_DISTRIBUTIONS)}")
 
 
 @dataclass

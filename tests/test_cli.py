@@ -1,7 +1,9 @@
+import argparse
 import gc
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import adgraph
-from adgraph import __version__, pipeline
+from adgraph import __version__, cli, pipeline
 from adgraph.cli import main
+from adgraph.config import SETTINGS
 from adgraph.pipeline import ALL_CHAIN, ARTIFACTS, PRODUCER, STAGES
 
 
@@ -42,10 +45,53 @@ class TestParsing:
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
 
-    def test_bad_choice_value(self):
+    def test_bad_choice_value(self, tmp_path, caplog):
         with pytest.raises(SystemExit) as exc:
             run(["ingest", "--format", "xml"])
         assert exc.value.code == 2
+        assert run(["ingest", "--workdir", str(tmp_path), "--set", "corpus.format=xml"]) == 1
+        [error] = [r.getMessage() for r in caplog.records]
+        assert error.startswith("corpus.format: ")
+
+    # the flags every subcommand takes, and those some take beyond them
+    COMMON_FLAGS = ["-h", "--config", "--workdir", "--seed", "--threads", "--force", "--set", "--quiet"]
+    EXTRA_FLAGS = {
+        "ingest": ["--corpus", "--format"],
+        "extract": ["--annotations"],
+        "label-htrp": ["--gazetteer"],
+        "export": ["--export-format", "--component"],
+        "synth": ["--n-ads", "--dup-rate", "--n-components", "--size-distribution", "--obfuscation-rate"],
+        "all": ["--corpus", "--format", "--annotations", "--gazetteer"],
+    }
+
+    @staticmethod
+    def subcommands() -> dict[str, argparse.ArgumentParser]:
+        [action] = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_subcommands_are_the_stages_and_all(self):
+        assert list(self.subcommands()) == [*STAGES, "all"]
+
+    @pytest.mark.parametrize("command", [*STAGES, "all"])
+    def test_help_lists_each_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert re.findall(r"\[(--?[a-z-]+)", usage) == [*self.COMMON_FLAGS, *self.EXTRA_FLAGS.get(command, [])]
+
+    def test_each_setting_flag_sets_its_key_as_declared(self):
+        checked = set()
+        for sub in self.subcommands().values():
+            for action in sub._actions:
+                if action.dest in ("help", "config", "force", "overrides", "quiet"):
+                    continue
+                # a key of config.DEFAULTS, and the type and choices it takes there
+                want = SETTINGS[action.dest]
+                assert action.type is want.type
+                assert action.choices is (want.choices or None)
+                checked.add(action.option_strings[0])
+        assert len(checked) == 14
 
 
 class TestErrors:
@@ -78,15 +124,35 @@ class TestErrors:
         caplog.clear()
         assert run(["dedup", "--workdir", workdir, "--force"]) == 1
         assert "not valid json" in caplog.text
-        # a row repeated
-        normalized = tmp_path / "w" / "normalized.jsonl"
-        rows = normalized.read_text(encoding="utf-8").splitlines()[:-1]
-        normalized.write_text("\n".join([*rows, rows[0]]) + "\n", encoding="utf-8")
+
+        def write(name, lines):
+            (tmp_path / "w" / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+        records, normalized = ((tmp_path / "w" / name).read_text(encoding="utf-8").splitlines()
+                               for name in ("records.jsonl", "normalized.jsonl"))
+        normalized.pop()  # the broken line
+        # a row repeated in both files, which dedup itself refuses
+        write("records.jsonl", [*records, records[0]])
+        write("normalized.jsonl", [*normalized, normalized[0]])
         caplog.clear()
         assert run(["dedup", "--workdir", workdir, "--force"]) == 1
         [error] = self.error_lines(caplog)
         assert "duplicate ad_id" in error and "normalized.jsonl" in error
         assert "rerun 'ingest' with --force" in error
+        # normalized.jsonl rows that are not records.jsonl's ads in their
+        # order: a row repeated, an ad records.jsonl lacks, a row missing
+        # and two rows swapped
+        write("records.jsonl", records)
+        zzz = json.dumps({**json.loads(normalized[0]), "ad_id": "zzz"})
+        swapped = [normalized[1], normalized[0], *normalized[2:]]
+        for rows in ([*normalized, normalized[0]], [*normalized, zzz], normalized[1:], swapped):
+            write("normalized.jsonl", rows)
+            for stage in ("dedup", "extract"):
+                caplog.clear()
+                assert run([stage, "--workdir", workdir, "--force"]) == 1
+                [error] = self.error_lines(caplog)
+                assert "artifact normalized.jsonl cannot be read" in error
+                assert "rerun 'ingest' with --force" in error
 
     @pytest.fixture
     def finished_workdir(self, tmp_path):
@@ -171,8 +237,10 @@ class TestErrors:
 
     @pytest.mark.parametrize("artifact", sorted(pipeline.PARSERS))
     def test_non_utf8_artifact_is_one_error_line(self, finished_workdir, caplog, artifact):
+        # one byte in the middle of the file becomes one that UTF-8 never uses
         path = finished_workdir / ARTIFACTS[artifact]
-        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 + 1 :])
         reader = next(s for s in ALL_CHAIN if artifact in STAGES[s].inputs)
         caplog.clear()
         assert run([reader, "--workdir", str(finished_workdir), "--force"]) == 1

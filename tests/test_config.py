@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import adgraph
-from adgraph.config import DEFAULTS, PipelineConfig, config_hash, load_config
+from adgraph import config
+from adgraph.config import DEFAULTS, SETTINGS, PipelineConfig, config_hash, load_config
 from adgraph.errors import ConfigError
 from adgraph.pipeline import STAGES
 
@@ -18,15 +19,22 @@ class TestDefaults:
 
     def test_key_defaults(self):
         cfg = load_config()
-        assert cfg.seed == 0
-        assert cfg.threads == 1
+        assert cfg["seed"] == 0
+        assert cfg["threads"] == 1
         assert str(cfg.workdir) == "out"
-        assert cfg.corpus_path is None
-        assert cfg.corpus_format == "jsonl"
-        assert cfg.quarantine_cap is None
-        assert cfg.strata_key == "location"
-        assert cfg.export_format == "both"
-        assert cfg.stage_enabled("compare") and cfg.stage_enabled("export")
+        assert cfg["corpus.path"] is None
+        assert cfg["corpus.format"] == "jsonl"
+        assert cfg["graph.quarantine_cap"] is None
+        assert cfg["analysis.strata"] == "location"
+        assert cfg["export.format"] == "both"
+        assert cfg["stages.compare"] and cfg["stages.export"]
+
+    def test_each_declared_key_takes_its_default(self):
+        # a misspelt key in the declarations would declare nothing
+        assert set(config._DECLARED) <= set(SETTINGS)
+        for dotted in SETTINGS:
+            default = config._lookup(DEFAULTS, dotted)
+            assert load_config(overrides=[f"{dotted}={json.dumps(default)}"])[dotted] == default
 
     def test_derived_configs_carry_seed(self):
         cfg = load_config(overrides=["seed=9"])
@@ -40,7 +48,7 @@ class TestFileLoading:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"seed": 7, "dedup": {"dup_threshold": 0.95}}))
         cfg = load_config(p)
-        assert cfg.seed == 7
+        assert cfg["seed"] == 7
         assert cfg.similarity().dup_threshold == 0.95
         # untouched keys keep defaults
         assert cfg.similarity().shingle_k == 5
@@ -84,20 +92,20 @@ class TestOverrides:
     def test_set_expression(self):
         cfg = load_config(overrides=["label.pairs_per_class=50", "seed=3"])
         assert cfg.labeling().pairs_per_class == 50
-        assert cfg.seed == 3
+        assert cfg["seed"] == 3
 
     def test_set_json_values(self):
         cfg = load_config(overrides=["graph.quarantine_cap=25", "stages.compare=false"])
-        assert cfg.quarantine_cap == 25
-        assert not cfg.stage_enabled("compare")
+        assert cfg["graph.quarantine_cap"] == 25
+        assert not cfg["stages.compare"]
         # null where the default is null, and for a variant key, whose null keeps label.*
         cfg = load_config(overrides=["analysis.variant.distance_threshold_miles=null", "graph.quarantine_cap=null"])
-        assert cfg.quarantine_cap is None
+        assert cfg["graph.quarantine_cap"] is None
         assert cfg.labeling(variant=True).distance_threshold_miles == cfg.labeling().distance_threshold_miles
 
     def test_set_raw_string_fallback(self):
         cfg = load_config(overrides=["corpus.format=csv"])
-        assert cfg.corpus_format == "csv"
+        assert cfg["corpus.format"] == "csv"
 
     def test_set_malformed(self):
         with pytest.raises(ConfigError, match="key=value"):
@@ -111,11 +119,11 @@ class TestOverrides:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"seed": 7}))
         cfg = load_config(p, overrides=["seed=8"], cli_values={"seed": 9})
-        assert cfg.seed == 9
+        assert cfg["seed"] == 9
 
     def test_cli_none_values_ignored(self):
         cfg = load_config(cli_values={"seed": None, "workdir": None})
-        assert cfg.seed == 0
+        assert cfg["seed"] == 0
 
     def test_variant_labeling_applies_only_non_null(self):
         cfg = load_config(
@@ -169,6 +177,17 @@ class TestValidate:
             ("analysis.variant.phone_count_threshold=true", "analysis.variant.phone_count_threshold"),
             ("analysis.variant.phone_count_threshold=2.5", "analysis.variant.phone_count_threshold"),
             ("analysis.variant.rule_combination=xor", "analysis.variant"),
+            # numpy's generators take no negative seed
+            ("seed=-1", "seed"),
+            # an empty path would name the current directory
+            ('workdir=""', "workdir"),
+            ('corpus.path=""', "corpus.path"),
+            ('corpus.annotations=""', "corpus.annotations"),
+            ('gazetteer=""', "gazetteer"),
+            # the allowed values of each enumerated key
+            ("label.rule_combination=xor", "label.rule_combination"),
+            ("label.feature_scope=node", "label.feature_scope"),
+            ("synth.component_size_distribution=normal", "synth.component_size_distribution"),
         ],
     )
     def test_bad_values_rejected(self, override, fragment):

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import shutil
 from collections import Counter
 from datetime import datetime
@@ -786,10 +787,10 @@ class TestCorruptArtifacts:
         doc = corrupt(doc, path, value)
         try:
             file.write_text("".join(json.dumps(r) + "\n" for r in doc) if rows else json.dumps(doc), encoding="utf-8")
-            ctx = pipeline.StageContext(finished, force=True)
-            ctx.inputs = {artifact: pipeline._sha256_file(file)}
+            # the first stage to read it, which reads its inputs before it writes
+            reader = next(s for s in ALL_CHAIN if artifact in pipeline.STAGES[s].inputs)
             with pytest.raises(PipelineError) as exc:
-                ctx.read(artifact)
+                run_stage(reader, finished, force=True)
         finally:
             file.write_text(original, encoding="utf-8")
         message = str(exc.value)
@@ -937,6 +938,15 @@ def rerun_matches_fresh(keyed_base, overrides, tmp_path) -> set[str]:
 class TestStageConfigKeys:
     def test_every_leaf_has_a_perturbation(self):
         assert set(PERTURBED) == set(leaves(DEFAULTS))
+
+    def test_readme_table_lists_each_stages_keys(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| stage | config keys it reads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        listed = {}
+        for row in table.splitlines():
+            stages, keys = (re.findall(r"`([^`]+)`", cell) for cell in row.strip("|").split("|"))
+            listed.update((stage, tuple(keys)) for stage in stages)
+        assert listed == {name: stage.config for name, stage in pipeline.STAGES.items()}
 
     @pytest.mark.parametrize("leaf", sorted(leaves(DEFAULTS)))
     def test_one_setting_reruns_only_what_it_reaches(self, keyed_base, leaf, tmp_path):
