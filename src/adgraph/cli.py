@@ -3,8 +3,9 @@
 One subcommand per pipeline stage plus `all`. Configuration comes from
 defaults, then an optional JSON config file, then repeated --set
 overrides, then explicit flags. Logs go to stderr; artifacts and
-manifests go to the workdir. A compare stage that ran prints its report
-to stdout, unless --quiet.
+manifests go to the workdir. A run that writes the compare report prints
+it to stdout, unless --quiet. A subcommand takes each setting flag whose
+key one of its stages reads.
 """
 
 from __future__ import annotations
@@ -21,30 +22,43 @@ from . import __version__
 from .analysis import render_report
 from .config import SETTINGS, load_config
 from .errors import AdgraphError
-from .pipeline import ARTIFACTS, STAGES, run_all, run_stage
+from .pipeline import ALL_CHAIN, ARTIFACTS, STAGES, run_all, run_stage
 
 log = logging.getLogger("adgraph")
 
+# (flag, key, metavar, help) of each setting flag offered only where a stage reads its key
+_STAGE_FLAGS = (
+    ("--corpus", "corpus.path", "PATH", "input corpus file"),
+    ("--format", "corpus.format", None, "corpus format"),
+    ("--annotations", "corpus.annotations", "PATH", "identifier span annotations (jsonl)"),
+    ("--gazetteer", "gazetteer", "PATH", "location gazetteer csv (default: bundled)"),
+    ("--export-format", "export.format", None, "which formats to write (default: both)"),
+    ("--component", "export.component", "N", "restrict export to one component"),
+    ("--n-ads", "synth.n_ads", "N", None),
+    ("--dup-rate", "synth.dup_rate", "F", None),
+    ("--n-components", "synth.n_components", "N", None),
+    ("--size-distribution", "synth.component_size_distribution", None, None),
+    ("--obfuscation-rate", "synth.obfuscation_rate", "F", None),
+)
 
-def _settings(*flags: tuple[str, str, str | None, str | None], parser=None) -> argparse.ArgumentParser:
-    """parser, or a new parent parser, with a flag for each (flag, key, metavar, help)
-    that sets that config key to a value of the type and choices SETTINGS declares."""
-    parser = parser or argparse.ArgumentParser(add_help=False)
+
+def _settings(parser: argparse.ArgumentParser, *flags: tuple[str, str, str | None, str | None]) -> None:
+    """Give parser a flag for each (flag, key, metavar, help) that sets that
+    config key to a value of the type and choices SETTINGS declares."""
     for flag, key, metavar, help in flags:
         want = SETTINGS[key]
         choices = want.choices or None
         parser.add_argument(flag, dest=key, type=want.type, choices=choices, metavar=metavar, help=help)
-    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     _settings(
+        common,
         ("--workdir", "workdir", "DIR", "artifact directory (default: out)"),
         ("--seed", "seed", "N", "global random seed"),
         ("--threads", "threads", "N", "worker processes for identifier extraction"),
-        parser=common,
     )
     common.add_argument(
         "--force", action="store_true", help="run even when inputs fail manifest checks"
@@ -59,45 +73,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--quiet", action="store_true", help="only log warnings and errors")
 
-    corpus = _settings(
-        ("--corpus", "corpus.path", "PATH", "input corpus file"),
-        ("--format", "corpus.format", None, "corpus format"),
-    )
-    annotations = _settings(
-        ("--annotations", "corpus.annotations", "PATH", "identifier span annotations (jsonl)")
-    )
-    gazetteer = _settings(("--gazetteer", "gazetteer", "PATH", "location gazetteer csv (default: bundled)"))
-    export = _settings(
-        ("--export-format", "export.format", None, "which formats to write (default: both)"),
-        ("--component", "export.component", "N", "restrict export to one component"),
-    )
-    synth = _settings(
-        ("--n-ads", "synth.n_ads", "N", None),
-        ("--dup-rate", "synth.dup_rate", "F", None),
-        ("--n-components", "synth.n_components", "N", None),
-        ("--size-distribution", "synth.component_size_distribution", None, None),
-        ("--obfuscation-rate", "synth.obfuscation_rate", "F", None),
-    )
-    # the flags a subcommand takes beyond the common ones
-    extra = {
-        "ingest": [corpus],
-        "extract": [annotations],
-        "label-htrp": [gazetteer],
-        "export": [export],
-        "synth": [synth],
-        "all": [corpus, annotations, gazetteer],
-    }
-
     parser = argparse.ArgumentParser(
         prog="adgraph",
         description="Pseudo-labeling pipeline for ad-graph datasets.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {name: stage.help for name, stage in STAGES.items()}
-    helps["all"] = "run the full chain from ingest to export"
-    for name, help in helps.items():
-        sub.add_parser(name, parents=[common, *extra.get(name, ())], help=help)
+    commands = {name: (stage.help, [stage]) for name, stage in STAGES.items()}
+    commands["all"] = (
+        f"run the full chain from {ALL_CHAIN[0]} to {ALL_CHAIN[-1]}", [STAGES[name] for name in ALL_CHAIN]
+    )
+    for name, (help, stages) in commands.items():
+        flags = [flag for flag in _STAGE_FLAGS if any(stage.reads(flag[1]) for stage in stages)]
+        _settings(sub.add_parser(name, parents=[common], help=help), *flags)
     return parser
 
 
@@ -140,7 +128,7 @@ def _main(argv: list[str] | None) -> int:
     except AdgraphError as e:
         log.error("%s", e)
         return 1
-    if not args.quiet and any(r["stage"] == "compare" and r["ran"] for r in results):
+    if not args.quiet and any(r["ran"] and "compare_report" in STAGES[r["stage"]].outputs for r in results):
         report_path = cfg.workdir / ARTIFACTS["compare_report"]
         report = render_report(json.loads(report_path.read_text(encoding="utf-8")))
         try:

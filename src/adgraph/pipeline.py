@@ -18,6 +18,9 @@ writer encoded. An input that cannot be used, unreadable or at odds with
 the stage's other inputs (normalized rows that are not the records' ads
 in their order, a row of graph's that contradicts the clusters), stops
 the stage with one error naming the file and the stage that writes it.
+A stage's row in STAGES is all that run_stage, run_all and the CLI know
+of it: its artifacts, the config keys and outside files it reads, and
+the outputs a setting chooses.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ import gc
 import hashlib
 import logging
 import time
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -145,6 +149,8 @@ class StageContext:
         self.inputs: dict[str, str] = {}
         # the running stage's output hashes, set by write
         self.outputs: dict[str, str] = {}
+        # the running stage's files from outside the workdir, set by _check_inputs
+        self.files: dict[str, Path] = {}
         self.parsed: dict[tuple[str, str], object] = {}  # (artifact, sha256) -> parse
         # (path, inode, size, mtime) -> sha256 of each file hashed or written
         self.digests: dict[tuple[Path, int, int, int], str] = {}
@@ -195,19 +201,6 @@ class StageContext:
         )
 
 
-def _resolve_corpus(cfg: PipelineConfig) -> Path:
-    if cfg["corpus.path"] is not None:
-        return Path(cfg["corpus.path"])
-    fallback = cfg.workdir / ARTIFACTS["synth_corpus"]
-    if fallback.exists():
-        log.info("corpus.path not set, using %s", fallback)
-        return fallback
-    raise PipelineError(
-        "no corpus configured: set corpus.path (or --corpus), "
-        "or run the 'synth' stage first"
-    )
-
-
 # ---------------------------------------------------------------- stages
 
 
@@ -218,8 +211,7 @@ def _run_synth(ctx: StageContext) -> None:
 
 
 def _run_ingest(ctx: StageContext) -> None:
-    path = _resolve_corpus(ctx.cfg)
-    records, rejects = corpus.ingest(path, ctx.cfg["corpus.format"])
+    records, rejects = corpus.ingest(ctx.files["corpus"], ctx.cfg["corpus.format"])
     # in-process at any thread count: pickling each record to a worker
     # costs more than normalizing it. Each distinct text is normalized
     # once; its reposts share the normalized string
@@ -242,20 +234,20 @@ def _run_ingest(ctx: StageContext) -> None:
 
 def _ingested(ctx: StageContext) -> tuple[list[corpus.AdRecord], list[corpus.NormalizedAd]]:
     """records.jsonl and normalized.jsonl, which list the same ads in the
-    same order, as ingest writes them."""
+    same order, each once, as ingest writes them."""
     records, normalized = ctx.read("records"), ctx.read("normalized")
     if len(records) != len(normalized) or any(r.ad_id != n.ad_id for r, n in zip(records, normalized)):
-        raise ctx.unreadable("normalized", "its ads are not those of records.jsonl, in the same order")
+        raise InconsistentInput("normalized", "its ads are not those of records.jsonl, in the same order")
+    repeated = [ad_id for ad_id, n in Counter(r.ad_id for r in records).items() if n > 1]
+    if repeated:
+        raise InconsistentInput("normalized", f"duplicate ad_id {repeated[0]!r}")
     return records, normalized
 
 
 def _run_dedup(ctx: StageContext) -> None:
     records, normalized = _ingested(ctx)
     posted = {r.ad_id: r.posted_at for r in records}
-    try:
-        clusters = dedup.deduplicate(normalized, ctx.cfg.similarity(), posted)
-    except InconsistentInput as exc:  # an ad_id repeated
-        raise ctx.unreadable(exc.artifact, exc) from exc
+    clusters = dedup.deduplicate(normalized, ctx.cfg.similarity(), posted)
     ctx.write("clusters", clusters)
     near = sum(1 for c in clusters if c.method == "near")
     log.info("%d clusters (%d near-duplicate)", len(clusters), near)
@@ -274,9 +266,9 @@ def _run_extract(ctx: StageContext) -> None:
     ids_by_ad = {r.ad_id: found[key] for r, key in zip(records, keys)}
 
     ann_rejects: list = []
-    if ctx.cfg["corpus.annotations"] is not None:
+    if "annotations" in ctx.files:
         annotated, ann_rejects = extract.import_annotations(
-            ctx.cfg["corpus.annotations"], {r.ad_id: key[1] for r, key in zip(records, keys)}
+            ctx.files["annotations"], {r.ad_id: key[1] for r, key in zip(records, keys)}
         )
         for ad_id, idents in annotated.items():
             ids_by_ad[ad_id] = extract.merge_identifiers(
@@ -293,10 +285,7 @@ def _run_extract(ctx: StageContext) -> None:
 
 def _run_graph(ctx: StageContext) -> None:
     clusters, identifiers, records = ctx.read("clusters"), ctx.read("identifiers"), ctx.read("records")
-    try:
-        graph = build_graph(clusters, identifiers, records, ctx.cfg["graph.quarantine_cap"])
-    except InconsistentInput as exc:
-        raise ctx.unreadable(exc.artifact, exc) from exc
+    graph = build_graph(clusters, identifiers, records, ctx.cfg["graph.quarantine_cap"])
     ctx.write("graph", graph)
     log.info("%d nodes, %d edges, %d components", len(graph.nodes), len(graph.edges), len(graph.components))
 
@@ -324,15 +313,18 @@ def _run_label_oad(ctx: StageContext) -> None:
     graph = ctx.read("graph")
     split = ctx.read("split").components
     if split.keys() != graph.components.keys():
-        raise ctx.unreadable("split", "its components are not the graph's")
+        raise InconsistentInput("split", "its components are not the graph's")
     texts = {n.ad_id: n.norm_text for n in ctx.read("normalized") if n.ad_id in graph.component_of}
+    if len(texts) < len(graph.nodes):
+        node = next(node for node in graph.nodes if node not in texts)
+        raise InconsistentInput("normalized", f"it has no row for graph node {node!r}")
     pairs = generate_oad_pairs(graph, texts, ctx.cfg.labeling(), split)
     ctx.write("oad_pairs", pairs)
     log.info("%d labeled pairs", len(pairs))
 
 
 def _run_label_htrp(ctx: StageContext) -> None:
-    path = ctx.cfg["gazetteer"]
+    path = ctx.files.get("gazetteer")
     gazetteer = Gazetteer.bundled() if path is None else Gazetteer.load(path)
     labels = label_htrp(ctx.read("graph"), gazetteer, ctx.cfg.labeling())
     ctx.write("htrp_labels", labels)
@@ -358,10 +350,13 @@ def _strata_map(ctx: StageContext, graph: RelatednessGraph) -> dict[str, str]:
 
 def _run_compare(ctx: StageContext) -> None:
     # the variant judges label-htrp's features by other rule thresholds
-    baseline = ctx.read("htrp_labels")
+    baseline, graph = ctx.read("htrp_labels"), ctx.read("graph")
+    # label-htrp writes one row per graph node, in ad_id order
+    if [ad.ad_id for ad in baseline] != sorted(graph.nodes):
+        raise InconsistentInput("htrp_labels", "its ads are not graph.json's nodes, in ad_id order")
     variant = relabel(baseline, ctx.cfg.labeling(variant=True))
     ctx.write("htrp_variant_labels", variant)
-    report = compare_label_variants(baseline, variant, _strata_map(ctx, ctx.read("graph")))
+    report = compare_label_variants(baseline, variant, _strata_map(ctx, graph))
     ctx.write("compare_report", report)
 
 
@@ -373,15 +368,12 @@ def _run_export(ctx: StageContext) -> None:
             f"export.component: no component {comp} in graph.json, "
             f"which has {len(graph.components)} components"
         )
-    for fmt in _export_outputs(ctx.cfg):
-        ctx.write(fmt, (graph, comp))
+    for art in _EXPORTS[ctx.cfg["export.format"]]:
+        ctx.write(art, (graph, comp))
 
 
-def _export_outputs(cfg: PipelineConfig) -> tuple[str, ...]:
-    fmt = cfg["export.format"]
-    if fmt == "both":
-        return ("graphml", "dot")
-    return ("graphml",) if fmt == "graphml" else ("dot",)
+# the outputs each export.format value asks for
+_EXPORTS = {"graphml": ("graphml",), "dot": ("dot",), "both": ("graphml", "dot")}
 
 
 @dataclass(frozen=True)
@@ -391,17 +383,28 @@ class StageDef:
     outputs: tuple[str, ...]
     fn: Callable[[StageContext], None]
     # dotted config keys (a leaf or a whole section) the stage reads; file
-    # locations enter only as content hashes, through _external_inputs
+    # locations enter only as content hashes, through `files`
     config: tuple[str, ...]
     help: str  # one line, for the stage's subcommand
+    # each file read from outside the workdir, by its manifest input name: the
+    # path key naming it, and the artifact read while that key is null (None: no file)
+    files: dict[str, tuple[str, str | None]] = field(default_factory=dict)
+    # a config key, and the outputs each of its values asks for; None: all
+    chosen_by: tuple[str, dict[str, tuple[str, ...]]] | None = None
 
     def config_hash(self, cfg: PipelineConfig) -> str:
         return config_hash(cfg.raw, self.config)
 
     def expected_outputs(self, cfg: PipelineConfig) -> tuple[str, ...]:
-        if self.name == "export":
-            return _export_outputs(cfg)
-        return self.outputs
+        if self.chosen_by is None:
+            return self.outputs
+        key, outputs = self.chosen_by
+        return outputs[cfg[key]]
+
+    def reads(self, key: str) -> bool:
+        """Whether the stage reads the leaf key, as a setting or as a file's path."""
+        keys = (*self.config, *(path_key for path_key, _ in self.files.values()))
+        return any(key == k or key.startswith(k + ".") for k in keys)
 
 
 # the label keys the HTRP rules read; compare relabels label-htrp's
@@ -422,6 +425,7 @@ STAGES: dict[str, StageDef] = {
         StageDef(
             "ingest", (), ("records", "normalized", "rejects"), _run_ingest,
             config=("corpus.format",), help="parse, validate, and normalize the corpus",
+            files={"corpus": ("corpus.path", "synth_corpus")},
         ),
         StageDef(
             "dedup", ("records", "normalized"), ("clusters",), _run_dedup,
@@ -430,6 +434,7 @@ STAGES: dict[str, StageDef] = {
         StageDef(
             "extract", ("records", "normalized"), ("identifiers", "annotation_rejects"), _run_extract,
             config=(), help="extract phones, emails, handles, and urls",
+            files={"annotations": ("corpus.annotations", None)},
         ),
         StageDef(
             "graph", ("clusters", "identifiers", "records"), ("graph",), _run_graph,
@@ -453,6 +458,7 @@ STAGES: dict[str, StageDef] = {
         StageDef(
             "label-htrp", ("graph",), ("htrp_labels",), _run_label_htrp,
             config=(*_RULE_KEYS, "label.feature_scope"), help="per-ad risk labels from rules",
+            files={"gazetteer": ("gazetteer", None)},
         ),
         StageDef(
             "compare", ("graph", "htrp_labels", "records"), ("htrp_variant_labels", "compare_report"),
@@ -462,6 +468,7 @@ STAGES: dict[str, StageDef] = {
         StageDef(
             "export", ("graph",), ("graphml", "dot"), _run_export,
             config=("export",), help="write graphml/dot views of the graph",
+            chosen_by=("export.format", _EXPORTS),
         ),
     )
 }
@@ -497,19 +504,9 @@ def _read_manifest(path: Path) -> Manifest | None:
         return None
 
 
-def _external_inputs(name: str, cfg: PipelineConfig) -> dict[str, Path]:
-    out: dict[str, Path] = {}
-    if name == "ingest":
-        out["corpus"] = _resolve_corpus(cfg)
-    if name == "extract" and cfg["corpus.annotations"] is not None:
-        out["annotations"] = Path(cfg["corpus.annotations"])
-    if name == "label-htrp" and cfg["gazetteer"] is not None:
-        out["gazetteer"] = Path(cfg["gazetteer"])
-    return out
-
-
 def _check_inputs(stage: StageDef, ctx: StageContext) -> dict[str, str]:
-    """Validate inputs against producer manifests; return their hashes."""
+    """Validate inputs against producer manifests; return their hashes.
+    Each file from outside the workdir is resolved into ctx.files."""
     hashes: dict[str, str] = {}
     for name in stage.inputs:
         p = ctx.path(name)
@@ -533,11 +530,21 @@ def _check_inputs(stage: StageDef, ctx: StageContext) -> dict[str, str]:
                 f"stage '{producer}' (stale or edited); rerun '{producer}' "
                 "or pass --force"
             )
-    for name, p in _external_inputs(stage.name, ctx.cfg).items():
+    ctx.files = {}
+    for name, (key, fallback) in stage.files.items():
+        if ctx.cfg[key] is not None:
+            p = Path(ctx.cfg[key])
+        elif fallback is None:
+            continue
+        elif (p := ctx.path(fallback)).exists():
+            log.info("%s not set, using %s", key, p)
+        else:
+            raise PipelineError(f"no {name} configured: set {key}, or run the '{PRODUCER[fallback]}' stage first")
         if not p.is_file():
             why = "is not a file" if p.exists() else "not found"
             raise PipelineError(f"input {name} {why}: {p}")
         hashes[name] = ctx.digest(p)
+        ctx.files[name] = p
     return hashes
 
 
@@ -596,7 +603,10 @@ def run_stage(
 
     ctx.inputs = input_hashes
     ctx.outputs = {}
-    stage.fn(ctx)
+    try:
+        stage.fn(ctx)
+    except InconsistentInput as exc:  # a row that contradicts another input
+        raise ctx.unreadable(exc.artifact, exc) from exc
 
     expected = stage.expected_outputs(cfg)
     for art in stage.outputs:
@@ -622,7 +632,7 @@ def run_all(cfg: PipelineConfig, force: bool = False) -> list[dict]:
     ctx = StageContext(cfg, force=force)
     results = []
     for i, name in enumerate(ALL_CHAIN):
-        if name in ("compare", "export") and not cfg[f"stages.{name}"]:
+        if not cfg.raw["stages"].get(name, True):
             # an earlier run's outputs would outlive the graph they describe
             for art in STAGES[name].outputs:
                 (cfg.workdir / ARTIFACTS[art]).unlink(missing_ok=True)

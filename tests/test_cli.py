@@ -61,7 +61,7 @@ class TestParsing:
         "label-htrp": ["--gazetteer"],
         "export": ["--export-format", "--component"],
         "synth": ["--n-ads", "--dup-rate", "--n-components", "--size-distribution", "--obfuscation-rate"],
-        "all": ["--corpus", "--format", "--annotations", "--gazetteer"],
+        "all": ["--corpus", "--format", "--annotations", "--gazetteer", "--export-format", "--component"],
     }
 
     @staticmethod
@@ -139,6 +139,10 @@ class TestErrors:
         [error] = self.error_lines(caplog)
         assert "duplicate ad_id" in error and "normalized.jsonl" in error
         assert "rerun 'ingest' with --force" in error
+        # extract refuses the repeat too, with the same line
+        caplog.clear()
+        assert run(["extract", "--workdir", workdir, "--force"]) == 1
+        assert self.error_lines(caplog) == [error]
         # normalized.jsonl rows that are not records.jsonl's ads in their
         # order: a row repeated, an ad records.jsonl lacks, a row missing
         # and two rows swapped
@@ -346,6 +350,29 @@ class TestErrors:
         assert f"artifact {path.name} cannot be read" in error
         assert f"rerun '{PRODUCER[artifact]}' with --force" in error
 
+    @pytest.mark.parametrize(
+        "artifact, reader, edit",
+        [
+            # normalized.jsonl without the row of graph.json's first node
+            ("normalized", "label-oad", lambda rows, graph: [r for r in rows if r["ad_id"] != graph["nodes"][0]]),
+            # HTRP labels that are not one row per graph node, in order
+            ("htrp_labels", "compare", lambda rows, graph: rows[1:]),
+            ("htrp_labels", "compare", lambda rows, graph: [*rows, rows[0]]),
+        ],
+        ids=["normalized-node-missing", "htrp-label-missing", "htrp-label-repeated"],
+    )
+    def test_rows_at_odds_with_the_graph_are_one_error_line(self, finished_workdir, caplog, artifact, reader, edit):
+        path = finished_workdir / ARTIFACTS[artifact]
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        graph = json.loads((finished_workdir / "graph.json").read_text(encoding="utf-8"))
+        path.write_text("".join(json.dumps(row) + "\n" for row in edit(rows, graph)), encoding="utf-8")
+        caplog.clear()
+        assert run([reader, "--workdir", str(finished_workdir), "--force"]) == 1
+        [error] = self.error_lines(caplog)
+        assert "\n" not in error
+        assert f"artifact {path.name} cannot be read" in error
+        assert f"rerun '{PRODUCER[artifact]}' with --force" in error
+
     @pytest.mark.parametrize("via", [["--component", "99999"], ["--set", "export.component=99999"]])
     def test_missing_export_component_is_one_error_line(self, finished_workdir, caplog, via):
         graph = json.loads((finished_workdir / "graph.json").read_text(encoding="utf-8"))
@@ -444,6 +471,15 @@ class TestHappyPath:
         assert (other / "records.jsonl").exists()
         assert run(["dedup", "--workdir", str(other)]) == 0
         assert (other / "clusters.jsonl").exists()
+
+    def test_all_takes_the_export_flags(self, tmp_path):
+        workdir = tmp_path / "w"
+        args = ["--workdir", str(workdir), "--quiet"]
+        assert run(["synth", *args, "--n-ads", "60", "--n-components", "8"]) == 0
+        assert run(["all", *args]) == 0
+        assert run(["all", *args, "--export-format", "dot"]) == 0
+        assert (workdir / "graph.dot").exists()
+        assert not (workdir / "graph.graphml").exists()
 
     def test_compare_prints_report(self, tmp_path, capsys):
         workdir = str(tmp_path / "w")

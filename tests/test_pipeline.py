@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import logging
 import os
 import re
 import shutil
@@ -235,6 +236,14 @@ class TestStaleness:
         cfg = load_config(cli_values={"workdir": str(tmp_path / "empty")})
         with pytest.raises(PipelineError, match="no corpus configured"):
             run_stage("ingest", cfg)
+
+    def test_corpus_fallback_is_logged_once(self, tmp_path, caplog):
+        cfg = make_cfg(tmp_path / "w")
+        run_stage("synth", cfg)
+        with caplog.at_level(logging.INFO, logger="adgraph"):
+            assert run_stage("ingest", cfg)["ran"]
+        fallback = [r.getMessage() for r in caplog.records if "not set" in r.getMessage()]
+        assert fallback == [f"corpus.path not set, using {cfg.workdir / 'corpus.jsonl'}"]
 
 
 class TestExportOptions:
